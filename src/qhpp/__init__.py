@@ -5,6 +5,7 @@ trichotomy of the resulting rank-one rational surfaces."""
 from .contraction import ContractionPlan, KClass, QhppReport, classify, contract, pullback_k_dot
 from .families import (
     FAMILY_IDS,
+    BuildCheckError,
     FamilyBuild,
     build,
     build_S1,
@@ -35,6 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlowupStep",
+    "BuildCheckError",
     "ChainShapeError",
     "ContractionPlan",
     "CurveClass",

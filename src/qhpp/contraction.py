@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .hjcf import CyclicSingularity, HJFraction, discrepancy_coefficients
 from .lattice import SurfaceModel
@@ -105,14 +105,17 @@ def contract(
     """
     extracted = [model.extract_chain(chain) for chain in plan.chains]
     chains = plan.chains
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            for a in chains[i]:
-                for b in chains[j]:
-                    if model.intersect(a, b) != 0:
-                        raise ValueError(
-                            f"chains are not disjoint: {a!r} meets {b!r}"
-                        )
+    where = {nm: (i, k) for i, chain in enumerate(chains) for k, nm in enumerate(chain)}
+    # the first meeting in (chain, later chain, curve, curve) order
+    meetings = [
+        (i, where[b][0], k, where[b][1], a, b)
+        for a, (i, k) in where.items()
+        for b in model.meets(a)
+        if b in where and where[b][0] > i
+    ]
+    if meetings:
+        *_, a, b = min(meetings)
+        raise ValueError(f"chains are not disjoint: {a!r} meets {b!r}")
     for chain in chains:
         _check_negative_definite(model, chain)
     singularities = tuple((CyclicSingularity.from_chain(w), w) for w in extracted)
@@ -127,11 +130,23 @@ def pullback_k_dot(model: SurfaceModel, plan: ContractionPlan, name: str) -> Fra
     E's intersections with the chain curves; for a (-1)-curve disjoint from
     all chains this is exactly -1.
     """
+    return _pullback_k_dot(
+        model, plan, name, (model.extract_chain(chain) for chain in plan.chains)
+    )
+
+
+def _pullback_k_dot(
+    model: SurfaceModel,
+    plan: ContractionPlan,
+    name: str,
+    extracted: Iterable[HJFraction],
+) -> Fraction:
+    """:func:`pullback_k_dot` with the plan's chains already extracted, in
+    plan order (an iterator is consumed one chain at a time)."""
     if name in plan.curve_names:
         raise ValueError(f"{name!r} is contracted by the plan")
     total = Fraction(model.k_dot(name))
-    for chain in plan.chains:
-        w = model.extract_chain(chain)
+    for chain, w in zip(plan.chains, extracted):
         for curve, coeff in zip(chain, discrepancy_coefficients(w)):
             hits = model.intersect(name, curve)
             if hits:
@@ -149,7 +164,7 @@ def classify(model: SurfaceModel, plan: ContractionPlan, test_curve: str) -> Qhp
     singularities, rho = contract(model, plan)
     if rho != 1:
         raise ValueError(f"Picard rank after contraction is {rho}; need 1 to classify")
-    value = pullback_k_dot(model, plan, test_curve)
+    value = _pullback_k_dot(model, plan, test_curve, (w for _, w in singularities))
     if value > 0:
         k_class = KClass.AMPLE
     elif value < 0:

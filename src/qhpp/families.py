@@ -25,6 +25,7 @@ from .hjcf import HJFraction, make_pattern, reverse
 from .lattice import BlowupStep, SurfaceModel
 
 __all__ = [
+    "BuildCheckError",
     "FamilyBuild",
     "FAMILY_IDS",
     "PARAM_NAMES",
@@ -49,6 +50,11 @@ PARAM_NAMES = {
 }
 
 
+class BuildCheckError(Exception):
+    """A builder's script does not reproduce its expected chains or does not
+    land at Picard rank one."""
+
+
 @dataclass(frozen=True)
 class FamilyBuild:
     """A scripted surface model with its contraction plan and bookkeeping."""
@@ -61,20 +67,23 @@ class FamilyBuild:
     expected_chains: tuple[HJFraction, ...]
 
     def __post_init__(self) -> None:
-        extracted = tuple(self.model.extract_chain(c) for c in self.plan.chains)
+        try:
+            singularities, rho = contract(self.model, self.plan)
+        except (ValueError, KeyError) as exc:  # the script is broken, not the input
+            raise BuildCheckError(f"{self.family}{self.params}: {exc}") from exc
+        extracted = tuple(w for _, w in singularities)
         if len(extracted) != len(self.expected_chains):
-            raise AssertionError(
+            raise BuildCheckError(
                 f"{self.family}{self.params}: {len(extracted)} chains, "
                 f"expected {len(self.expected_chains)}"
             )
         for got, want in zip(extracted, self.expected_chains):
             if got != want and got != reverse(want):
-                raise AssertionError(
+                raise BuildCheckError(
                     f"{self.family}{self.params}: extracted {got}, expected {want}"
                 )
-        _, rho = contract(self.model, self.plan)
         if rho != 1:
-            raise AssertionError(f"{self.family}{self.params}: rho = {rho}, not 1")
+            raise BuildCheckError(f"{self.family}{self.params}: rho = {rho}, not 1")
 
     def classify(self) -> QhppReport:
         return classify(self.model, self.plan, self.test_curve)

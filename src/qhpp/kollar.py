@@ -95,10 +95,12 @@ def weights(p: KollarParams) -> KollarWeights:
     wstar = gcd(*raw)
     w1, w2, w3, w4 = (x // wstar for x in raw)
     d = (a1 * a2 * a3 * a4 - 1) // wstar
-    assert a1 * w1 + w2 == a2 * w2 + w3 == a3 * w3 + w4 == a4 * w4 + w1 == d
+    if not a1 * w1 + w2 == a2 * w2 + w3 == a3 * w3 + w4 == a4 * w4 + w1 == d:
+        raise ArithmeticError(f"weights {(w1, w2, w3, w4)} do not solve {p}")
     s1 = a4 * w4 - w3
     s2 = a1 * w1 - w4
-    assert s1 == a2 * w2 - w1 and s2 == a3 * w3 - w2
+    if s1 != a2 * w2 - w1 or s2 != a3 * w3 - w2:
+        raise ArithmeticError(f"contraction orders {s1}, {s2} disagree for {p}")
     t1 = normalize_type(s1, w2, w4).q1 if s1 > 1 else 0
     t2 = normalize_type(s2, w1, w3).q1 if s2 > 1 else 0
     return KollarWeights(w1, w2, w3, w4, d, wstar, s1, s2, t1, t2)
@@ -121,10 +123,14 @@ def singularity_types(
     chain1 = make_pattern(a4, a3, a1, a2)
     chain2 = make_pattern(a3, a2, a4, a1)
     # chain determinants and values agree with the congruence solutions
-    assert determinant(chain1) == pattern_determinant(a4, a3, a1, a2) == W.s1
-    assert determinant(chain2) == pattern_determinant(a3, a2, a4, a1) == W.s2
-    assert evaluate(chain1) == Fraction(W.s1, W.t1)
-    assert evaluate(chain2) == Fraction(W.s2, W.t2)
+    if not determinant(chain1) == pattern_determinant(a4, a3, a1, a2) == W.s1:
+        raise ArithmeticError(f"determinant of {chain1} is not s1 = {W.s1} for {p}")
+    if not determinant(chain2) == pattern_determinant(a3, a2, a4, a1) == W.s2:
+        raise ArithmeticError(f"determinant of {chain2} is not s2 = {W.s2} for {p}")
+    if evaluate(chain1) != Fraction(W.s1, W.t1):
+        raise ArithmeticError(f"{chain1} does not evaluate to {W.s1}/{W.t1} for {p}")
+    if evaluate(chain2) != Fraction(W.s2, W.t2):
+        raise ArithmeticError(f"{chain2} does not evaluate to {W.s2}/{W.t2} for {p}")
     return (
         (CyclicSingularity(W.s1, W.t1), chain1),
         (CyclicSingularity(W.s2, W.t2), chain2),

@@ -8,6 +8,22 @@ curves pass through the center and with what local multiplicity.  Tangency
 is encoded by consecutive centers lying on both proper transforms, never by
 a flag.  Projective existence of a configuration is not checked: the model
 is exactly the class-level data.
+
+A model keeps an integer intersection table with one sparse row per
+tracked curve: ``C.C``, ``C.K`` and the nonzero pairings ``C.D`` with the
+other tracked curves.  Blowing up a point through which the curves ``C``
+pass with multiplicities ``m_C`` changes only these entries:
+
+* ``C'.C' = C.C - m^2`` and ``C'.K' = C.K + m`` for each incident curve;
+* ``C_a'.C_b' = C_a.C_b - m_a m_b`` for each pair of incident curves;
+* ``E.C' = m``, ``E.E = -1`` and ``E.K = -1`` for the new exceptional ``E``.
+
+Successive models share the rows of curves that do not pass through the
+center, so a step costs one pointer copy per tracked curve plus, for ``k``
+incident curves, ``O(k^2)`` table updates and a copy of their rows.
+Intersection numbers are table lookups, and extracting a chain walks the
+rows of its curves.  Dense :class:`CurveClass` values are rebuilt on demand
+from each curve's sparse multiplicities.
 """
 
 from __future__ import annotations
@@ -155,18 +171,97 @@ class DualGraph:
         return extend(0)
 
 
-@dataclass(frozen=True)
+class _Row:
+    """One tracked curve: its row of the intersection table and its class.
+
+    ``meets`` maps every other tracked curve with a nonzero pairing to that
+    pairing.  ``mults`` is a linked list ``(index, m, rest)`` of the nonzero
+    multiplicities ``m_{index+1}``, newest first; later models share its
+    tail.  Rows are never changed once a model holds them.
+    """
+
+    __slots__ = ("degree", "mults", "self_int", "k_dot", "meets")
+
+    def __init__(self, degree, mults, self_int, k_dot, meets) -> None:
+        self.degree = degree
+        self.mults = mults
+        self.self_int = self_int
+        self.k_dot = k_dot
+        self.meets = meets
+
+
+class _DenseClasses(Mapping):
+    """Read-only name -> :class:`CurveClass` view of a model; a class is
+    built from the sparse multiplicities when it is looked up."""
+
+    __slots__ = ("_model",)
+
+    def __init__(self, model: "SurfaceModel") -> None:
+        self._model = model
+
+    def __getitem__(self, name: str) -> CurveClass:
+        return self._model.curve(name)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._model._rows
+
+    def __iter__(self):
+        return iter(self._model._rows)
+
+    def __len__(self) -> int:
+        return len(self._model._rows)
+
+
 class SurfaceModel:
     """Immutable Picard-lattice model of a blown-up plane.
 
-    ``tracked`` maps curve names to classes (each with ``blowup_count``
-    multiplicities); ``smooth`` lists the curves declared smooth rational,
-    for which ``C.C + C.K = -2`` is enforced through every blow-up.
+    ``SurfaceModel(blowup_count, tracked, smooth)`` takes dense classes
+    (each with ``blowup_count`` multiplicities) and computes the
+    intersection table from them once; :meth:`plane` and :meth:`blow_up`
+    build the table directly.  ``smooth`` lists the curves declared smooth
+    rational, for which ``C.C + C.K = -2`` is enforced through every
+    blow-up.
     """
 
-    blowup_count: int
-    tracked: Mapping[str, CurveClass]
-    smooth: frozenset[str] = frozenset()
+    __slots__ = ("blowup_count", "smooth", "_rows")
+
+    def __init__(
+        self,
+        blowup_count: int,
+        tracked: Mapping[str, CurveClass],
+        smooth: Iterable[str] = frozenset(),
+    ) -> None:
+        object.__setattr__(self, "blowup_count", blowup_count)
+        canonical = self.canonical
+        rows: dict[str, _Row] = {}
+        for name, c in tracked.items():
+            mults = None
+            for i, m in enumerate(c.mults):
+                if m:
+                    mults = (i, m, mults)
+            rows[name] = _Row(c.degree, mults, c.dot(c), c.dot(canonical), {})
+        names = list(tracked)
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                w = tracked[a].dot(tracked[b])
+                if w:
+                    rows[a].meets[b] = w
+                    rows[b].meets[a] = w
+        object.__setattr__(self, "smooth", frozenset(smooth))
+        object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def _from_rows(
+        cls, blowup_count: int, rows: dict[str, _Row], smooth: frozenset[str]
+    ) -> "SurfaceModel":
+        model = object.__new__(cls)
+        object.__setattr__(model, "blowup_count", blowup_count)
+        object.__setattr__(model, "smooth", smooth)
+        object.__setattr__(model, "_rows", rows)
+        return model
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: SurfaceModel is immutable")
 
     @classmethod
     def plane(
@@ -181,7 +276,7 @@ class SurfaceModel:
         unknown = singular - set(degrees)
         if unknown:
             raise ValueError(f"singular names not among curves: {sorted(unknown)}")
-        tracked: dict[str, CurveClass] = {}
+        rows: dict[str, _Row] = {}
         for name, d in degrees.items():
             if d < 1:
                 raise ValueError(f"curve degree must be >= 1, got {d} for {name!r}")
@@ -190,93 +285,131 @@ class SurfaceModel:
                     f"a smooth plane curve of degree {d} is not rational; "
                     f"list {name!r} as singular"
                 )
-            tracked[name] = CurveClass(d, ())
-        return cls(0, tracked, frozenset(degrees) - singular)
+            meets = {other: d * e for other, e in degrees.items() if other != name}
+            rows[name] = _Row(d, None, d * d, -3 * d, meets)
+        return cls._from_rows(0, rows, frozenset(degrees) - singular)
 
     @property
     def canonical(self) -> CurveClass:
         """The canonical class ``-3H + E1 + ... + En``."""
         return CurveClass(-3, (-1,) * self.blowup_count)
 
-    def curve(self, name: str) -> CurveClass:
+    @property
+    def tracked(self) -> Mapping[str, CurveClass]:
+        """The tracked curves as dense classes, in tracking order."""
+        return _DenseClasses(self)
+
+    def _row(self, name: str) -> _Row:
         try:
-            return self.tracked[name]
+            return self._rows[name]
         except KeyError:
             raise KeyError(f"no tracked curve named {name!r}") from None
 
+    def curve(self, name: str) -> CurveClass:
+        row = self._row(name)
+        mults = [0] * self.blowup_count
+        node = row.mults
+        while node is not None:
+            i, m, node = node
+            mults[i] = m
+        return CurveClass(row.degree, tuple(mults))
+
     def intersect(self, name_a: str, name_b: str) -> int:
-        return self.curve(name_a).dot(self.curve(name_b))
+        row = self._row(name_a)
+        self._row(name_b)
+        if name_a == name_b:
+            return row.self_int
+        return row.meets.get(name_b, 0)
+
+    def meets(self, name: str) -> dict[str, int]:
+        """The nonzero intersection numbers of ``name`` with the other
+        tracked curves, as a new dict."""
+        return dict(self._row(name).meets)
 
     def self_int(self, name: str) -> int:
-        return self.curve(name).self_intersection
+        return self._row(name).self_int
 
     def k_dot(self, name: str) -> int:
-        return self.curve(name).dot(self.canonical)
+        return self._row(name).k_dot
 
     def genus_term(self, name: str) -> int:
         """``C.C + C.K``; equals -2 exactly for smooth rational curves."""
-        c = self.curve(name)
-        return c.dot(c) + c.dot(self.canonical)
+        row = self._row(name)
+        return row.self_int + row.k_dot
 
     def declare_smooth(self, name: str) -> "SurfaceModel":
         """Mark a tracked curve as smooth rational (requires genus 0)."""
         g = self.genus_term(name)
         if g != -2:
             raise ValueError(f"{name!r} has C.C + C.K = {g}, not -2")
-        return SurfaceModel(self.blowup_count, dict(self.tracked), self.smooth | {name})
+        return SurfaceModel._from_rows(
+            self.blowup_count, self._rows, self.smooth | {name}
+        )
 
     def blow_up(self, step: BlowupStep) -> "SurfaceModel":
         """Blow up one point and return the new model.
 
         Each incident curve class C with multiplicity m becomes
-        ``C - m * E_new``.  Over-assigned incidences are rejected: no
-        pairwise intersection of tracked curves may go negative and no
-        declared-smooth curve may fall below ``C.C + C.K = -2``.
+        ``C - m * E_new``; only the rows of the incident curves and of
+        ``E_new`` change (see the module docstring).  Over-assigned
+        incidences are rejected: no pairwise intersection of tracked curves
+        may go negative and no declared-smooth curve may fall below
+        ``C.C + C.K = -2``.
         """
         n = self.blowup_count
         incident = dict(step.incidences)
-        missing = sorted(set(incident) - set(self.tracked))
+        old = self._rows
+        missing = sorted(nm for nm in incident if nm not in old)
         if missing:
             raise KeyError(f"unknown curves in incidences: {missing}")
         name = step.name if step.name is not None else f"E{n + 1}"
-        if name in self.tracked:
+        if name in old:
             raise ValueError(f"curve name {name!r} is already tracked")
-        tracked: dict[str, CurveClass] = {}
-        for nm, c in self.tracked.items():
-            tracked[nm] = CurveClass(c.degree, c.mults + (incident.get(nm, 0),))
-        tracked[name] = CurveClass(0, (0,) * n + (-1,))
-        model = SurfaceModel(n + 1, tracked, self.smooth | {name})
-        changed = list(incident) + [name]
-        for a in changed:
-            ca = tracked[a]
-            for b, cb in tracked.items():
-                if b == a:
-                    continue
-                if ca.dot(cb) < 0:
-                    raise ValueError(
-                        f"over-assigned incidences: {a!r}.{b!r} = {ca.dot(cb)} "
-                        f"after blowing up {name!r}"
-                    )
-        for nm in incident:
-            if nm in self.smooth and model.genus_term(nm) < -2:
+        rows = dict(old)
+        for a, m in incident.items():
+            row = old[a]
+            meets = dict(row.meets)
+            for b, mb in incident.items():
+                if b != a:
+                    w = meets.pop(b, 0) - m * mb
+                    if w:
+                        meets[b] = w
+            meets[name] = m
+            rows[a] = _Row(
+                row.degree,
+                (n, m, row.mults),
+                row.self_int - m * m,
+                row.k_dot + m,
+                meets,
+            )
+        rows[name] = _Row(0, (n, -1, None), -1, -1, dict(incident))
+        for a in (*incident, name):
+            meets = rows[a].meets
+            negative = [b for b, w in meets.items() if w < 0]
+            if negative:
+                order = {b: i for i, b in enumerate(rows)}
+                b = min(negative, key=order.__getitem__)
                 raise ValueError(
-                    f"smooth curve {nm!r} would get C.C + C.K = "
-                    f"{model.genus_term(nm)} < -2"
+                    f"over-assigned incidences: {a!r}.{b!r} = {meets[b]} "
+                    f"after blowing up {name!r}"
                 )
-        return model
+        for a in incident:
+            g = rows[a].self_int + rows[a].k_dot
+            if a in self.smooth and g < -2:
+                raise ValueError(f"smooth curve {a!r} would get C.C + C.K = {g} < -2")
+        return SurfaceModel._from_rows(n + 1, rows, self.smooth | {name})
 
     def dual_graph(self, names: Sequence[str] | None = None) -> DualGraph:
         """Dual graph of the named curves (all tracked curves by default)."""
         if names is None:
-            names = sorted(self.tracked)
-        curves = [(nm, self.curve(nm)) for nm in names]
-        vertices = tuple((nm, c.self_intersection) for nm, c in curves)
+            names = sorted(self._rows)
+        vertices = tuple((nm, self.self_int(nm)) for nm in names)
         edges = []
-        for i in range(len(curves)):
-            for j in range(i + 1, len(curves)):
-                w = curves[i][1].dot(curves[j][1])
+        for i in range(len(names)):
+            for j in range(i + 1, len(names)):
+                w = self.intersect(names[i], names[j])
                 if w > 0:
-                    edges.append((curves[i][0], curves[j][0], w))
+                    edges.append((names[i], names[j], w))
         return DualGraph(vertices, tuple(edges))
 
     def extract_chain(self, names: Sequence[str]) -> HJFraction:
@@ -284,24 +417,31 @@ class SurfaceModel:
 
         Every listed curve must have self-intersection <= -2, consecutive
         curves must meet exactly once and non-consecutive ones not at all.
+        Walks each curve's sparse row, so the cost is the chain length plus
+        the number of curves the chain curves meet.
         """
         if not names:
             raise ChainShapeError("empty chain")
         if len(set(names)) != len(names):
             raise ChainShapeError(f"repeated curve in chain: {list(names)}")
-        curves = [self.curve(nm) for nm in names]
+        rows = [self._row(nm) for nm in names]
         entries = []
-        for nm, c in zip(names, curves):
-            s = c.self_intersection
+        for nm, row in zip(names, rows):
+            s = row.self_int
             if s > -2:
                 raise ChainShapeError(f"{nm!r} has self-intersection {s} > -2")
             entries.append(-s)
-        for i in range(len(curves)):
-            for j in range(i + 1, len(curves)):
-                w = curves[i].dot(curves[j])
+        position = {nm: i for i, nm in enumerate(names)}
+        for i, row in enumerate(rows):
+            # every later curve but the next one must be missing from the row
+            wrong = [position[b] for b in row.meets if position.get(b, i) > i + 1]
+            if i + 1 < len(names) and row.meets.get(names[i + 1]) != 1:
+                wrong.append(i + 1)
+            if wrong:
+                j = min(wrong)
+                w = row.meets.get(names[j], 0)
                 want = 1 if j == i + 1 else 0
-                if w != want:
-                    raise ChainShapeError(
-                        f"{names[i]!r}.{names[j]!r} = {w}, expected {want}"
-                    )
+                raise ChainShapeError(
+                    f"{names[i]!r}.{names[j]!r} = {w}, expected {want}"
+                )
         return HJFraction(tuple(entries))

@@ -2,8 +2,9 @@ import csv
 import io
 import json
 
-from qhpp import verify
+from qhpp import families, verify
 from qhpp.cli import main
+from qhpp.hjcf import HJFraction
 
 
 def run(capsys, *argv):
@@ -180,3 +181,20 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "kollar")
     assert code == 2
     assert "FAIL kollar.fake" in out
+
+
+def test_failed_build_check_exits_two(capsys, monkeypatch):
+    real = families.build_S3
+
+    def broken(b):
+        fb = real(b)
+        wrong = (HJFraction((2,)),) * len(fb.expected_chains)
+        return families.FamilyBuild(
+            fb.family, fb.params, fb.model, fb.plan, fb.test_curve, wrong
+        )
+
+    monkeypatch.setattr(families, "build_S3", broken)
+    code, out, err = run(capsys, "family", "S3", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -2,9 +2,11 @@ import pytest
 from fractions import Fraction
 from itertools import product
 
-from qhpp.contraction import KClass, pullback_k_dot
+from qhpp.contraction import ContractionPlan, KClass, pullback_k_dot
 from qhpp.families import (
     FAMILY_IDS,
+    BuildCheckError,
+    FamilyBuild,
     build,
     build_S1,
     build_S1_variant,
@@ -12,7 +14,7 @@ from qhpp.families import (
     build_S3_variant,
     build_T,
 )
-from qhpp.hjcf import determinant, make_pattern, pattern_determinant
+from qhpp.hjcf import HJFraction, determinant, make_pattern, pattern_determinant
 from qhpp.kollar import KollarParams, singularity_types, weights
 
 
@@ -270,3 +272,17 @@ def test_build_dispatcher():
     with pytest.raises(ValueError):
         build("S1", (2, 3))
     assert set(FAMILY_IDS) == {"T", "S1", "S1-Pp", "S1-Ppp", "S3", "V", "Y"}
+
+
+def test_self_check_raises_build_check_error():
+    fb = build_S3(4)
+    wrong = fb.expected_chains[:2] + (HJFraction((2, 2, 5)),)
+    with pytest.raises(BuildCheckError, match="extracted"):
+        FamilyBuild(fb.family, fb.params, fb.model, fb.plan, fb.test_curve, wrong)
+    with pytest.raises(BuildCheckError, match="3 chains, expected 2"):
+        FamilyBuild(
+            fb.family, fb.params, fb.model, fb.plan, fb.test_curve, wrong[:2]
+        )
+    meeting = ContractionPlan((("L1",), ("M1",)))
+    with pytest.raises(BuildCheckError, match="not disjoint"):
+        FamilyBuild(fb.family, fb.params, fb.model, meeting, fb.test_curve, wrong[:2])

@@ -1,0 +1,188 @@
+"""The sparse intersection table of SurfaceModel against a dense reference.
+
+Random blow-up scripts on three lines, a conic and a nodal cubic are
+replayed on dense classes ``(d, [m_1, ..., m_n])`` with
+``C.D = d d' - sum(m m')``; every number the model reports must match, and
+a step must be refused exactly when the reference finds a negative pairing
+or a smooth curve with ``C.C + C.K < -2``.
+"""
+
+from operator import mul
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qhpp.lattice import BlowupStep, ChainShapeError, CurveClass, SurfaceModel
+
+PLANE = {"L1": 1, "L2": 1, "L3": 1, "Q": 2, "C": 3}
+SINGULAR = {"C"}  # a nodal cubic; every other curve is smooth rational
+
+
+# --- dense reference -------------------------------------------------------
+
+
+def dot(a, b):
+    return a[0] * b[0] - sum(map(mul, a[1], b[1]))
+
+
+def k_dot(a):
+    return dot(a, (-3, [-1] * len(a[1])))
+
+
+def ref_blow_up(classes, incidences, name):
+    """The classes after the blow-up, or None if it over-assigns."""
+    n = len(next(iter(classes.values()))[1])
+    new = {nm: (d, ms + [incidences.get(nm, 0)]) for nm, (d, ms) in classes.items()}
+    new[name] = (0, [0] * n + [-1])
+    changed = [*incidences, name]
+    if any(dot(new[a], new[b]) < 0 for a in changed for b in new if b != a):
+        return None
+    smooth = [a for a in incidences if a not in SINGULAR]
+    if any(dot(new[a], new[a]) + k_dot(new[a]) < -2 for a in smooth):
+        return None
+    return new
+
+
+def ref_chain(classes, names):
+    """The chain entries, or None if the names do not form a chain."""
+    curves = [classes[nm] for nm in names]
+    if any(dot(c, c) > -2 for c in curves):
+        return None
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
+            if dot(curves[i], curves[j]) != (1 if j == i + 1 else 0):
+                return None
+    return tuple(-dot(c, c) for c in curves)
+
+
+def ref_graph_text(classes):
+    names = sorted(classes)
+    lines = [f"{a} {dot(classes[a], classes[a])}" for a in names]
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if dot(classes[a], classes[b]) > 0:
+                lines.append(f"{a} {b} {dot(classes[a], classes[b])}")
+    return "\n".join(lines) + "\n"
+
+
+# --- the property ----------------------------------------------------------
+
+
+# a step: (0 for a point on no tracked curve, anchor, others, multiplicities);
+# curve indices are taken modulo the number of candidates
+STEP = st.tuples(
+    st.integers(0, 5),
+    st.integers(0, 63),
+    st.lists(st.integers(0, 63), max_size=2),
+    st.lists(st.sampled_from([1, 1, 1, 2]), min_size=3, max_size=3),
+)
+# lengths drawn evenly up to 30; plain lists of steps are mostly short
+SCRIPT = st.integers(0, 30).flatmap(lambda n: st.lists(STEP, min_size=n, max_size=n))
+
+
+def incidences_of(classes, step):
+    """A point on the anchor curve, also on some of the curves meeting it."""
+    free, anchor, others, mults = step
+    if free == 0:
+        return {}
+    names = list(classes)
+    anchor = names[anchor % len(names)]
+    meeting = [b for b in names if b != anchor and dot(classes[anchor], classes[b]) > 0]
+    pool = meeting or names
+    through = dict.fromkeys([anchor, *(pool[i % len(pool)] for i in others)])
+    return dict(zip(through, mults))
+
+
+def greedy_path(classes):
+    """A path through curves of self-intersection <= -2, each meeting the
+    previous one once (the reference decides whether it is a chain)."""
+    low = [nm for nm in classes if dot(classes[nm], classes[nm]) <= -2]
+    if not low:
+        return []
+    path = [low[0]]
+    while True:
+        step = [
+            nm
+            for nm in low
+            if nm not in path and dot(classes[path[-1]], classes[nm]) == 1
+        ]
+        if not step:
+            return path
+        path.append(step[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(SCRIPT, st.lists(st.integers(0, 63), min_size=1, max_size=4))
+def test_table_matches_dense_reference(script, picks):
+    model = SurfaceModel.plane(PLANE, singular=SINGULAR)
+    classes = {nm: (d, []) for nm, d in PLANE.items()}
+    for k, point in enumerate(script):
+        incidences = incidences_of(classes, point)
+        name = f"X{k}"
+        step = BlowupStep(tuple(incidences.items()), name=name)
+        want = ref_blow_up(classes, incidences, name)
+        if want is None:
+            with pytest.raises(ValueError):
+                model.blow_up(step)
+        else:
+            model, classes = model.blow_up(step), want
+
+    names = list(classes)
+    assert list(model.tracked) == names
+    assert model.blowup_count == len(classes[names[0]][1])
+    for a in names:
+        c = classes[a]
+        assert model.curve(a) == CurveClass(c[0], tuple(c[1]))
+        assert model.self_int(a) == dot(c, c)
+        assert model.k_dot(a) == k_dot(c)
+        assert model.genus_term(a) == dot(c, c) + k_dot(c)
+        for b in names:
+            assert model.intersect(a, b) == dot(c, classes[b])
+    assert model.dual_graph().to_text() == ref_graph_text(classes)
+
+    drawn = list(dict.fromkeys(names[i % len(names)] for i in picks))
+    for chain in (drawn, greedy_path(classes)):
+        if not chain:
+            continue
+        want = ref_chain(classes, chain)
+        if want is None:
+            with pytest.raises(ChainShapeError):
+                model.extract_chain(chain)
+        else:
+            assert model.extract_chain(chain).entries == want
+
+
+def test_triangle_of_minus_two_curves_is_not_a_chain():
+    # three general points on each of three lines: a cycle of (-2)-curves
+    model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1})
+    for line in ("L1", "L2", "L3"):
+        for _ in range(3):
+            model = model.blow_up(BlowupStep(((line, 1),)))
+    assert model.extract_chain(["L1", "L2"]).entries == (2, 2)
+    with pytest.raises(ChainShapeError, match="'L1'.'L3' = 1, expected 0"):
+        model.extract_chain(["L1", "L2", "L3"])
+
+
+# --- hand-built models -----------------------------------------------------
+
+
+def test_hand_built_table_from_dense_classes():
+    plain = SurfaceModel.plane({"L": 1}).blow_up(BlowupStep((("L", 1),), "E1"))
+    hand = SurfaceModel(1, {"L": CurveClass(1, (1,)), "E1": CurveClass(0, (-1,))})
+    for a in ("L", "E1"):
+        assert hand.curve(a) == plain.curve(a)
+        assert hand.k_dot(a) == plain.k_dot(a)
+        for b in ("L", "E1"):
+            assert hand.intersect(a, b) == plain.intersect(a, b)
+    assert hand.smooth == frozenset()
+
+
+def test_guard_scans_whole_rows_of_incident_curves():
+    # A and B share the class E1, so A.B = -1 before any blow-up; a point
+    # on A alone leaves that entry unchanged, but it sits in A's row
+    hand = SurfaceModel(1, {"A": CurveClass(0, (-1,)), "B": CurveClass(0, (-1,))})
+    assert hand.intersect("A", "B") == -1
+    with pytest.raises(ValueError, match="'A'.'B' = -1"):
+        hand.blow_up(BlowupStep((("A", 1),)))
+    hand.blow_up(BlowupStep())  # a point on neither curve is allowed
