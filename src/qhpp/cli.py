@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -149,6 +150,7 @@ def cmd_sweep(args) -> int:
             f"got {len(args.ranges)}"
         )
     spans = [_parse_span(text) for text in args.ranges]
+    families.check_size([span[-1] for span in spans])  # the largest member
     rows = _sweep_rows(family, spans)
     if args.format == "json":
         records = [_report_record(family, fb.params, rep) for fb, rep in rows]
@@ -266,10 +268,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # parse_args leaves the parser unchanged, so one instance serves every call
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

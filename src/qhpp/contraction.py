@@ -161,7 +161,18 @@ def classify(model: SurfaceModel, plan: ContractionPlan, test_curve: str) -> Qhp
     non-contracted curve's pairing decides the class; any other rank is
     refused.
     """
-    singularities, rho = contract(model, plan)
+    return _classify(model, plan, test_curve, contract(model, plan))
+
+
+def _classify(
+    model: SurfaceModel,
+    plan: ContractionPlan,
+    test_curve: str,
+    contracted: tuple[tuple[tuple[CyclicSingularity, HJFraction], ...], int],
+) -> QhppReport:
+    """:func:`classify` with ``contracted = contract(model, plan)`` already
+    computed."""
+    singularities, rho = contracted
     if rho != 1:
         raise ValueError(f"Picard rank after contraction is {rho}; need 1 to classify")
     value = _pullback_k_dot(model, plan, test_curve, (w for _, w in singularities))

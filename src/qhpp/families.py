@@ -17,10 +17,17 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
-from .contraction import ContractionPlan, QhppReport, classify, contract
+from .contraction import (
+    ContractionPlan,
+    QhppReport,
+    _classify,
+    _pullback_k_dot,
+    contract,
+)
 from .hjcf import HJFraction, make_pattern, reverse
 from .lattice import BlowupStep, SurfaceModel
 
@@ -28,8 +35,10 @@ __all__ = [
     "BuildCheckError",
     "FamilyBuild",
     "FAMILY_IDS",
+    "MAX_PARAM_SUM",
     "PARAM_NAMES",
     "build",
+    "check_size",
     "build_T",
     "build_S1",
     "build_S1_variant",
@@ -49,6 +58,10 @@ PARAM_NAMES = {
     "Y": ("b", "c"),
 }
 
+# A member's blow-up count grows with the sum of its parameters, and a build
+# costs about quadratically in its blow-ups.
+MAX_PARAM_SUM = 2000
+
 
 class BuildCheckError(Exception):
     """A builder's script does not reproduce its expected chains or does not
@@ -57,7 +70,12 @@ class BuildCheckError(Exception):
 
 @dataclass(frozen=True)
 class FamilyBuild:
-    """A scripted surface model with its contraction plan and bookkeeping."""
+    """A scripted surface model with its contraction plan and bookkeeping.
+
+    The plan is contracted once, at construction; :meth:`classify` and
+    :meth:`pullback_k_dot` reuse that result instead of extracting the
+    chains again.
+    """
 
     family: str
     params: tuple[int, ...]
@@ -65,12 +83,15 @@ class FamilyBuild:
     plan: ContractionPlan
     test_curve: str
     expected_chains: tuple[HJFraction, ...]
+    # contract(model, plan), computed by __post_init__
+    _contracted: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
-            singularities, rho = contract(self.model, self.plan)
+            contracted = contract(self.model, self.plan)
         except (ValueError, KeyError) as exc:  # the script is broken, not the input
             raise BuildCheckError(f"{self.family}{self.params}: {exc}") from exc
+        singularities, rho = contracted
         extracted = tuple(w for _, w in singularities)
         if len(extracted) != len(self.expected_chains):
             raise BuildCheckError(
@@ -84,9 +105,19 @@ class FamilyBuild:
                 )
         if rho != 1:
             raise BuildCheckError(f"{self.family}{self.params}: rho = {rho}, not 1")
+        object.__setattr__(self, "_contracted", contracted)
 
     def classify(self) -> QhppReport:
-        return classify(self.model, self.plan, self.test_curve)
+        """``classify(model, plan, test_curve)`` without contracting again."""
+        return _classify(self.model, self.plan, self.test_curve, self._contracted)
+
+    def pullback_k_dot(self, name: str) -> Fraction:
+        """``pullback_k_dot(model, plan, name)`` on the chains extracted at
+        construction."""
+        singularities, _ = self._contracted
+        return _pullback_k_dot(
+            self.model, self.plan, name, (w for _, w in singularities)
+        )
 
     def non_contracted_curves(self) -> tuple[str, ...]:
         """All tracked curves surviving the contraction (test candidates)."""
@@ -308,8 +339,19 @@ def build_S3_variant(b: int, c: int, which: str) -> FamilyBuild:
     return _build_s3(which, b, c)
 
 
+def check_size(params: Sequence[int]) -> None:
+    """Refuse parameters that sum to more than ``MAX_PARAM_SUM``."""
+    total = sum(params)
+    if total > MAX_PARAM_SUM:
+        raise ValueError(
+            f"parameters {tuple(params)} sum to {total}; the limit is {MAX_PARAM_SUM}"
+        )
+
+
 def build(family: str, params: Sequence[int]) -> FamilyBuild:
-    """Dispatch a family id (see FAMILY_IDS) to its builder."""
+    """Dispatch a family id (see FAMILY_IDS) to its builder; parameters
+    above the size limit (see :func:`check_size`) are refused before any
+    blow-up."""
     params = tuple(int(x) for x in params)
     if family not in FAMILY_IDS:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILY_IDS)}")
@@ -319,6 +361,7 @@ def build(family: str, params: Sequence[int]) -> FamilyBuild:
             f"family {family} takes {want} parameter(s) "
             f"({', '.join(PARAM_NAMES[family])}), got {len(params)}"
         )
+    check_size(params)
     if family == "T":
         return build_T(*params)
     if family == "S1":

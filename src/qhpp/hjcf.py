@@ -6,6 +6,13 @@ string of rational curves with self-intersections ``-n1, ..., -nl``, the
 minimal resolution of the cyclic quotient singularity ``1/q(1, q1)`` whose
 order q is the absolute determinant of the chain's intersection matrix.
 
+Determinants, values and entry bumps come from one backward pass of the
+continuant recurrence ``v_{j-1} = n_j v_j - v_{j+1}`` (from ``v_l = 1``,
+``v_{l+1} = 0``), which keeps only the last two terms: ``v_0 = |w|`` and
+``v_1 = |[n2, ..., nl]|``, so ``evaluate(w) = v_0/v_1``.  Only
+``partial_orders`` and ``discrepancy_coefficients``, which need every
+term, build the sequences.
+
 Everything here is exact: python integers and ``fractions.Fraction``, no
 floating point.
 """
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "HJFraction",
@@ -45,8 +52,8 @@ class HJFraction:
     entries: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        entries = tuple(int(n) for n in self.entries)
-        if any(n < 2 for n in entries):
+        entries = tuple(map(int, self.entries))
+        if entries and min(entries) < 2:
             raise ValueError(f"chain entries must all be >= 2: {list(entries)}")
         object.__setattr__(self, "entries", entries)
 
@@ -80,7 +87,7 @@ class PartialOrders:
         return self.u[-1]
 
 
-def _u_sequence(entries: Sequence[int]) -> list[int]:
+def _u_sequence(entries: Iterable[int]) -> list[int]:
     # u0 = 0, u1 = 1, u_{j+1} = n_j * u_j - u_{j-1}
     u = [0, 1]
     for n in entries:
@@ -88,27 +95,34 @@ def _u_sequence(entries: Sequence[int]) -> list[int]:
     return u
 
 
+def _continuants(entries: Sequence[int]) -> tuple[int, int]:
+    """``(v_0, v_1) = (|[n1, ..., nl]|, |[n2, ..., nl]|)`` in one backward
+    pass of ``v_{j-1} = n_j v_j - v_{j+1}``; the empty chain gives (1, 0)."""
+    v, v_next = 1, 0
+    for n in reversed(entries):
+        v, v_next = n * v - v_next, v
+    return v, v_next
+
+
 def determinant(w: HJFraction) -> int:
     """The order ``|w|``: determinant of the tridiagonal matrix with
     diagonal ``nj`` and off-diagonal -1.  The empty chain has determinant 1.
     """
-    return _u_sequence(w.entries)[-1]
+    return _continuants(w.entries)[0]
 
 
 def evaluate(w: HJFraction) -> Fraction:
     """Value ``q/q1`` of the nested fraction, in lowest terms (q = |w|)."""
     if not w.entries:
         raise ValueError("the empty chain has no rational value")
-    return Fraction(_u_sequence(w.entries)[-1], _u_sequence(w.entries[1:])[-1])
+    return Fraction(*_continuants(w.entries))
 
 
 def partial_orders(w: HJFraction) -> PartialOrders:
     """Both order sequences of ``w``; see :class:`PartialOrders`."""
     u = _u_sequence(w.entries)
     # mirror recurrence v_j = n_{j+1} * v_{j+1} - v_{j+2}
-    v = [0, 1]
-    for n in reversed(w.entries):
-        v.append(n * v[-1] - v[-2])
+    v = _u_sequence(reversed(w.entries))
     return PartialOrders(u=tuple(u), v=tuple(reversed(v)))
 
 
@@ -137,13 +151,18 @@ def expand(q: int, q1: int) -> HJFraction:
 def bump_determinant(w: HJFraction, j: int) -> int:
     """Determinant of ``w`` with entry ``nj`` replaced by ``nj + 1``.
 
-    ``j`` is 1-based.  Computed as ``v_j * u_j + |w|`` from the order
-    sequences, not by expanding the bumped chain.
+    ``j`` is 1-based.  Computed as ``v_j * u_j + |w|`` from one pass over
+    each side of ``j``, not by expanding the bumped chain.
     """
-    if not 1 <= j <= len(w):
-        raise IndexError(f"index must lie in 1..{len(w)}, got {j}")
-    po = partial_orders(w)
-    return po.v[j] * po.u[j] + po.order
+    entries = w.entries
+    if not 1 <= j <= len(entries):
+        raise IndexError(f"index must lie in 1..{len(entries)}, got {j}")
+    # the left part read backwards has determinant u_j, its tail u_{j-1}
+    u, u_prev = _continuants(entries[: j - 1][::-1])
+    v, v_next = _continuants(entries[j:])
+    # along row j, |w| = n_j u_j v_j - u_{j-1} v_j - u_j v_{j+1}; the bump
+    # adds u_j v_j
+    return (entries[j - 1] + 1) * u * v - u_prev * v - u * v_next
 
 
 def make_pattern(a: int, b: int, c: int, d: int) -> HJFraction:
@@ -177,11 +196,13 @@ def discrepancy_coefficients(w: HJFraction) -> tuple[Fraction, ...]:
     Each coefficient lies in [0, 1); all vanish exactly when every entry
     is 2 (a du Val chain).
     """
-    if not w.entries:
+    entries = w.entries
+    if not entries:
         raise ValueError("the empty chain has no discrepancy coefficients")
-    po = partial_orders(w)
-    q = po.order
-    return tuple(1 - Fraction(po.v[j] + po.u[j], q) for j in range(1, len(w) + 1))
+    u = _u_sequence(entries)
+    v = _u_sequence(reversed(entries))[::-1]
+    q = u[-1]
+    return tuple(Fraction(q - u[j] - v[j], q) for j in range(1, len(entries) + 1))
 
 
 @dataclass(frozen=True)

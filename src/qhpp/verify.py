@@ -15,7 +15,7 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import families
-from .contraction import KClass, pullback_k_dot
+from .contraction import KClass
 from .hjcf import (
     HJFraction,
     bump_determinant,
@@ -232,9 +232,7 @@ def _sign(x: Fraction) -> int:
 
 
 def _sign_independent(fb: families.FamilyBuild) -> bool:
-    values = [
-        pullback_k_dot(fb.model, fb.plan, nm) for nm in fb.non_contracted_curves()
-    ]
+    values = [fb.pullback_k_dot(nm) for nm in fb.non_contracted_curves()]
     signs = {_sign(v) for v in values}
     return len(signs) == 1
 

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qhpp import families, verify
 from qhpp.cli import main
@@ -198,3 +202,43 @@ def test_failed_build_check_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_family_size_guard_exits_one(capsys):
+    code, out, err = run(capsys, "family", "S3", "100000")
+    assert code == 1
+    assert out == ""
+    assert err == "error: parameters (100000,) sum to 100000; the limit is 2000\n"
+
+
+def test_sweep_size_guard_checks_largest_corner(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a member was built")
+
+    monkeypatch.setattr(families, "build", no_build)
+    code, out, err = run(capsys, "sweep", "V", "2..1000", "0..1001")
+    assert code == 1
+    assert out == ""
+    assert err == "error: parameters (1000, 1001) sum to 2001; the limit is 2000\n"
+
+
+def test_main_repeated_in_one_process_matches_separate_runs(capsys):
+    calls = [
+        ["family", "S1", "3", "--json"],
+        ["family", "nope", "3"],
+        ["sweep", "S3", "2..6", "--format", "markdown"],
+        ["eval", "3", "2", "2"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv, got in zip(calls, in_process):
+        alone = subprocess.run(
+            [sys.executable, "-m", "qhpp", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert in_process[1][0] == 1 and in_process[1][2].startswith("error: ")

@@ -2,9 +2,10 @@ import pytest
 from fractions import Fraction
 from itertools import product
 
-from qhpp.contraction import ContractionPlan, KClass, pullback_k_dot
+from qhpp.contraction import ContractionPlan, KClass, classify, pullback_k_dot
 from qhpp.families import (
     FAMILY_IDS,
+    MAX_PARAM_SUM,
     BuildCheckError,
     FamilyBuild,
     build,
@@ -16,6 +17,7 @@ from qhpp.families import (
 )
 from qhpp.hjcf import HJFraction, determinant, make_pattern, pattern_determinant
 from qhpp.kollar import KollarParams, singularity_types, weights
+from qhpp.lattice import SurfaceModel
 
 
 def sign(x):
@@ -286,3 +288,45 @@ def test_self_check_raises_build_check_error():
     meeting = ContractionPlan((("L1",), ("M1",)))
     with pytest.raises(BuildCheckError, match="not disjoint"):
         FamilyBuild(fb.family, fb.params, fb.model, meeting, fb.test_curve, wrong[:2])
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("T", (2, 2, 2, 2)),
+        ("T", (5, 3, 7, 4)),
+        ("S1", (2,)),
+        ("S1", (9,)),
+        ("S1-Pp", (2, 2)),
+        ("S1-Pp", (6, 5)),
+        ("S1-Ppp", (2, 2)),
+        ("S1-Ppp", (5, 7)),
+        ("S3", (2,)),
+        ("S3", (11,)),
+        ("V", (2, 0)),
+        ("V", (7, 4)),
+        ("Y", (2, 0)),
+        ("Y", (6, 5)),
+    ],
+)
+def test_reused_contraction_matches_public_path(family, params):
+    fb = build(family, params)
+    assert fb.classify() == classify(fb.model, fb.plan, fb.test_curve)
+    for nm in fb.non_contracted_curves():
+        assert fb.pullback_k_dot(nm) == pullback_k_dot(fb.model, fb.plan, nm)
+    with pytest.raises(ValueError, match="contracted"):
+        fb.pullback_k_dot(fb.plan.chains[0][0])
+
+
+def test_size_guard_refuses_before_any_blow_up(monkeypatch):
+    def no_blow_up(*args):
+        raise AssertionError("blow_up called")
+
+    monkeypatch.setattr(SurfaceModel, "blow_up", no_blow_up)
+    with pytest.raises(ValueError, match="the limit is 2000"):
+        build("S3", (MAX_PARAM_SUM + 1,))
+    with pytest.raises(ValueError, match="sum to 2001"):
+        build("T", (500, 500, 500, 501))
+    with pytest.raises(ValueError, match="sum to 2001"):
+        build("V", (2001, 0))
+    assert MAX_PARAM_SUM == 2000

@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qhpp.hjcf import (
     CyclicSingularity,
@@ -336,3 +336,44 @@ def test_singularity_chain_roundtrip(pair):
     assert sing.is_presented_by(chain)
     assert sing.is_presented_by(reverse(chain))
     assert sing.q1 * sing.q1_inverse() % q == 1
+
+
+# --- single-pass kernels against list-based continuants ----------------------
+
+
+def continuant_lists(entries):
+    """``u[j] = |[n1..n_{j-1}]|`` and ``v[j] = |[n_{j+1}..nl]|`` for
+    ``j = 0..l+1``, each built as a whole list."""
+    u = [0, 1]
+    for n in entries:
+        u.append(n * u[-1] - u[-2])
+    v = [0, 1]
+    for n in reversed(entries):
+        v.append(n * v[-1] - v[-2])
+    return u, v[::-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 9), max_size=40))
+@example([])
+@example([2])
+@example([9])
+@example([2, 9])
+def test_single_pass_kernels_match_list_reference(entries):
+    w = HJFraction(entries)
+    u, v = continuant_lists(entries)
+    q = u[-1]
+    assert v[0] == q
+    assert determinant(w) == q
+    if not entries:
+        return
+    assert evaluate(w) == Fraction(q, v[1])
+    for j in range(1, len(entries) + 1):  # both ends included
+        bumped = entries[: j - 1] + [entries[j - 1] + 1] + entries[j:]
+        assert bump_determinant(w, j) == continuant_lists(bumped)[0][-1]
+    for j in (0, len(entries) + 1):
+        with pytest.raises(IndexError):
+            bump_determinant(w, j)
+    assert discrepancy_coefficients(w) == tuple(
+        1 - Fraction(u[j] + v[j], q) for j in range(1, len(entries) + 1)
+    )
