@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from . import families, verify
@@ -131,69 +132,54 @@ def cmd_family(args) -> int:
     return 0
 
 
-def _sweep_rows(family: str, spans: list[range]):
-    for params in product(*spans):
-        fb = families.build(family, params)
-        yield fb, fb.classify()
+def _row_cells(fb: families.FamilyBuild, rep: QhppReport, approx: bool) -> list[str]:
+    """One member's cells in a CSV or markdown sweep."""
+    cells = [
+        *(str(x) for x in fb.params),
+        ";".join(str(s.q) for s, _ in rep.singularities),
+        str(rep.rho),
+        rep.k_class.value,
+        _frac(rep.k_value),
+    ]
+    if approx:
+        cells.append(f"{float(rep.k_value):.6g}")
+    return cells
 
 
 def cmd_sweep(args) -> int:
     family = args.family
-    if family not in families.FAMILY_IDS:
-        raise _UsageError(
-            f"unknown family {family!r}; known: {', '.join(families.FAMILY_IDS)}"
-        )
-    names = families.PARAM_NAMES[family]
-    if len(args.ranges) != len(names):
-        raise _UsageError(
-            f"family {family} takes {len(names)} range(s) ({', '.join(names)}), "
-            f"got {len(args.ranges)}"
-        )
     spans = [_parse_span(text) for text in args.ranges]
-    families.check_size([span[-1] for span in spans])  # the largest member
-    rows = _sweep_rows(family, spans)
+    # the upper corner first, so the size limit is reported before a domain error
+    names = families.check_params(family, [span[-1] for span in spans]).names
+    families.check_params(family, [span[0] for span in spans])
+    members = prod(len(span) for span in spans)
+    if members > families.MAX_SWEEP_MEMBERS:
+        raise _UsageError(
+            f"the box has {members} members; the limit is {families.MAX_SWEEP_MEMBERS}"
+        )
+    builds = (families.build(family, params) for params in product(*spans))
+    rows = ((fb, fb.classify()) for fb in builds)
     if args.format == "json":
         records = [_report_record(family, fb.params, rep) for fb, rep in rows]
         text = json.dumps(records, indent=2) + "\n"
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+    else:
         header = [*names, "orders", "rho", "k_class", "k_value"]
-        if args.approx:
-            header.append("k_value_approx")
-        writer.writerow(header)
-        for fb, rep in rows:
-            row = [
-                *fb.params,
-                ";".join(str(s.q) for s, _ in rep.singularities),
-                rep.rho,
-                rep.k_class.value,
-                _frac(rep.k_value),
-            ]
+        body = [_row_cells(fb, rep, args.approx) for fb, rep in rows]
+        if args.format == "csv":
             if args.approx:
-                row.append(f"{float(rep.k_value):.6g}")
-            writer.writerow(row)
-        text = buffer.getvalue()
-    else:  # markdown
-        header = [*names, "orders", "rho", "k_class", "k_value"]
-        if args.approx:
-            header.append("k_value (approx.)")
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join(" --- " for _ in header) + "|",
-        ]
-        for fb, rep in rows:
-            cells = [
-                *(str(x) for x in fb.params),
-                ";".join(str(s.q) for s, _ in rep.singularities),
-                str(rep.rho),
-                rep.k_class.value,
-                _frac(rep.k_value),
-            ]
+                header.append("k_value_approx")
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows([header, *body])
+            text = buffer.getvalue()
+        else:  # markdown
             if args.approx:
-                cells.append(f"{float(rep.k_value):.6g}")
-            lines.append("| " + " | ".join(cells) + " |")
-        text = "\n".join(lines) + "\n"
+                header.append("k_value (approx.)")
+            lines = [
+                "| " + " | ".join(header) + " |",
+                "|" + "|".join(" --- " for _ in header) + "|",
+                *("| " + " | ".join(cells) + " |" for cells in body),
+            ]
+            text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)

@@ -130,24 +130,26 @@ def pullback_k_dot(model: SurfaceModel, plan: ContractionPlan, name: str) -> Fra
     E's intersections with the chain curves; for a (-1)-curve disjoint from
     all chains this is exactly -1.
     """
-    return _pullback_k_dot(
-        model, plan, name, (model.extract_chain(chain) for chain in plan.chains)
+    coefficients = (
+        discrepancy_coefficients(model.extract_chain(chain)) for chain in plan.chains
     )
+    return _pullback_k_dot(model, plan, name, coefficients)
 
 
 def _pullback_k_dot(
     model: SurfaceModel,
     plan: ContractionPlan,
     name: str,
-    extracted: Iterable[HJFraction],
+    coefficients: Iterable[Sequence[Fraction]],
 ) -> Fraction:
-    """:func:`pullback_k_dot` with the plan's chains already extracted, in
-    plan order (an iterator is consumed one chain at a time)."""
+    """:func:`pullback_k_dot` with the discrepancy coefficients of the plan's
+    chains already known, in plan order (an iterator is consumed one chain
+    at a time)."""
     if name in plan.curve_names:
         raise ValueError(f"{name!r} is contracted by the plan")
     total = Fraction(model.k_dot(name))
-    for chain, w in zip(plan.chains, extracted):
-        for curve, coeff in zip(chain, discrepancy_coefficients(w)):
+    for chain, coeffs in zip(plan.chains, coefficients):
+        for curve, coeff in zip(chain, coeffs):
             hits = model.intersect(name, curve)
             if hits:
                 total += coeff * hits
@@ -175,7 +177,8 @@ def _classify(
     singularities, rho = contracted
     if rho != 1:
         raise ValueError(f"Picard rank after contraction is {rho}; need 1 to classify")
-    value = _pullback_k_dot(model, plan, test_curve, (w for _, w in singularities))
+    coefficients = (discrepancy_coefficients(w) for _, w in singularities)
+    value = _pullback_k_dot(model, plan, test_curve, coefficients)
     if value > 0:
         k_class = KClass.AMPLE
     elif value < 0:

@@ -1,10 +1,13 @@
 """Builders for the plane configurations that contract to rank-one surfaces.
 
-Each builder scripts a sequence of blow-ups of the plane, names the curves
-to contract, and records the chain strings the script is expected to
-produce.  The scripts are fixed incidence data; the builders fail loudly if
-the scripted lattice does not reproduce the expected strings or does not
-land at Picard rank one.
+Every fact about a family lives in one registry, ``FAMILIES``: per family
+id, a :class:`FamilySpec` holds the parameter names, the least value of each
+parameter, a private script that blows up the plane and names the curves to
+contract and the test curve, and the template of the chain strings the
+script is expected to produce.  :func:`build` checks the parameters against
+the spec (:func:`check_params`), runs the script and fails loudly if the
+scripted lattice does not reproduce the template or does not land at Picard
+rank one.
 
 Families:
 
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .contraction import (
     ContractionPlan,
@@ -28,17 +32,19 @@ from .contraction import (
     _pullback_k_dot,
     contract,
 )
-from .hjcf import HJFraction, make_pattern, reverse
+from .hjcf import HJFraction, discrepancy_coefficients, make_pattern, reverse
 from .lattice import BlowupStep, SurfaceModel
 
 __all__ = [
     "BuildCheckError",
+    "FAMILIES",
     "FamilyBuild",
+    "FamilySpec",
     "FAMILY_IDS",
     "MAX_PARAM_SUM",
-    "PARAM_NAMES",
+    "MAX_SWEEP_MEMBERS",
     "build",
-    "check_size",
+    "check_params",
     "build_T",
     "build_S1",
     "build_S1_variant",
@@ -46,21 +52,12 @@ __all__ = [
     "build_S3_variant",
 ]
 
-FAMILY_IDS = ("T", "S1", "S1-Pp", "S1-Ppp", "S3", "V", "Y")
-
-PARAM_NAMES = {
-    "T": ("a1", "a2", "a3", "a4"),
-    "S1": ("b",),
-    "S1-Pp": ("b", "c"),
-    "S1-Ppp": ("b", "c"),
-    "S3": ("b",),
-    "V": ("b", "c"),
-    "Y": ("b", "c"),
-}
-
 # A member's blow-up count grows with the sum of its parameters, and a build
 # costs about quadratically in its blow-ups.
 MAX_PARAM_SUM = 2000
+
+# The most members one sweep may build; a box is counted before any build.
+MAX_SWEEP_MEMBERS = 10_000
 
 
 class BuildCheckError(Exception):
@@ -111,18 +108,35 @@ class FamilyBuild:
         """``classify(model, plan, test_curve)`` without contracting again."""
         return _classify(self.model, self.plan, self.test_curve, self._contracted)
 
+    @cached_property
+    def _coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
+        singularities, _ = self._contracted
+        return tuple(discrepancy_coefficients(w) for _, w in singularities)
+
     def pullback_k_dot(self, name: str) -> Fraction:
         """``pullback_k_dot(model, plan, name)`` on the chains extracted at
-        construction."""
-        singularities, _ = self._contracted
-        return _pullback_k_dot(
-            self.model, self.plan, name, (w for _, w in singularities)
-        )
+        construction; their discrepancy coefficients are computed once."""
+        return _pullback_k_dot(self.model, self.plan, name, self._coefficients)
 
     def non_contracted_curves(self) -> tuple[str, ...]:
         """All tracked curves surviving the contraction (test candidates)."""
         used = self.plan.curve_names
         return tuple(sorted(nm for nm in self.model.tracked if nm not in used))
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """One family: its parameters, blow-up script and chain template.
+
+    ``script(*params)`` returns ``(model, plan, test_curve)`` and
+    ``chains(*params)`` the chain strings the plan must contract to (either
+    orientation).  Both assume parameters that :func:`check_params` passed.
+    """
+
+    names: tuple[str, ...]
+    least: tuple[int, ...]
+    script: Callable[..., tuple[SurfaceModel, ContractionPlan, str]]
+    chains: Callable[..., tuple[HJFraction, ...]]
 
 
 def _blow(model: SurfaceModel, incidences, name: str) -> SurfaceModel:
@@ -150,22 +164,9 @@ def _run_tower(
     return model, [start] + names[:-1], names[-1]
 
 
-def build_T(a1: int, a2: int, a3: int, a4: int) -> FamilyBuild:
-    """Four general lines: of the six double points, mark the four forming a
-    cycle L1-L2-L3-L4; blow each marked point up twice, then keep blowing up
-    the moving point of L_k another a_k - 2 times.
-
-    At the point shared by L_{k-1} and L_k the second (infinitely near)
-    center is taken on L_k, so every line carries exactly one deep point;
-    this is the assignment that reproduces the twelve-curve configuration at
-    a = (2, 2, 2, 2).  The two contracted chains are
-    ``[2 x (a4-1), a3, a1, 2 x (a2-1)]`` and
-    ``[2 x (a3-1), a2, a4, 2 x (a1-1)]``; the test curve E1 is the moving
-    (-1)-curve on L1.
-    """
+def _script_t(a1: int, a2: int, a3: int, a4: int):
+    """The script of :func:`build_T`."""
     a = (a1, a2, a3, a4)
-    if min(a) < 2:
-        raise ValueError(f"parameters must all be >= 2, got {a}")
     model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1})
     prev = {1: "L4", 2: "L1", 3: "L2", 4: "L3"}
     run: dict[int, list[str]] = {}
@@ -180,16 +181,13 @@ def build_T(a1: int, a2: int, a3: int, a4: int) -> FamilyBuild:
         run[k] = names[:-1]
     upper = tuple(reversed(run[4])) + ("D4", "L3", "L1", "D2") + tuple(run[2])
     lower = tuple(reversed(run[3])) + ("D3", "L2", "L4", "D1") + tuple(run[1])
-    expected = (make_pattern(a4, a3, a1, a2), make_pattern(a3, a2, a4, a1))
-    return FamilyBuild(
-        "T", a, model, ContractionPlan((upper, lower)), "E1", expected
-    )
+    return model, ContractionPlan((upper, lower)), "E1"
 
 
 _S1_SPINE = ("C", "D2", "L4", "A1", "A2", "L2", "B1", "B2", "L3", "D1")
 
 
-def _build_s1(family: str, b: int, c: int | None) -> FamilyBuild:
+def _script_s1(b: int, c: int = 2, deep: str = "A"):
     """Common script for S1 and its variants.
 
     A nodal cubic C with lines L1 (through the node), L2, L3, L4 tangent to
@@ -198,12 +196,9 @@ def _build_s1(family: str, b: int, c: int | None) -> FamilyBuild:
     times (point, shared tangent direction, then once more: along C at the
     first two, along the previous exceptional at the third).  The deep point
     P sits where the last (-1)-curve D3 meets the b-curve D2; the variants
-    deepen P' (on A2) or P'' (on B2) the same way.
+    deepen P' (on A2, ``deep = "A"``) or P'' (on B2, ``deep = "B"``) the
+    same way, c - 2 times.
     """
-    if b < 2:
-        raise ValueError(f"b must be >= 2, got {b}")
-    if family != "S1" and (c is None or c < 2):
-        raise ValueError(f"c must be >= 2, got {c}")
     m = SurfaceModel.plane(
         {"C": 3, "L1": 1, "L2": 1, "L3": 1, "L4": 1}, singular=("C",)
     )
@@ -219,37 +214,143 @@ def _build_s1(family: str, b: int, c: int | None) -> FamilyBuild:
     m = _blow(m, [("D1", 1), ("C", 1), ("L4", 1)], "D2")
     m = _blow(m, [("D2", 1), ("D1", 1)], "D3")
     m, tail, moving = _run_tower(m, "D3", "D2", b - 2, "G", "E")
-    prefix: list[str] = []
+    m, members, _ = _run_tower(m, f"{deep}3", f"{deep}2", c - 2, "H", "F")
+    chain = tuple(reversed(members)) + _S1_SPINE + tuple(tail)
+    return m, ContractionPlan((chain,)), moving
+
+
+def _s1_chains(b: int, c: int = 2, at: int = 4) -> tuple[HJFraction, ...]:
     mid = [3, b, 2, 2, 2, 2, 2, 2, 2, 3]
-    if family == "S1-Pp":
-        m, members, _ = _run_tower(m, "A3", "A2", c - 2, "H", "F")
-        prefix = list(reversed(members))
-        mid = [3, b, 2, 2, c, 2, 2, 2, 2, 3]
-        params = (b, c)
-    elif family == "S1-Ppp":
-        m, members, _ = _run_tower(m, "B3", "B2", c - 2, "H", "F")
-        prefix = list(reversed(members))
-        mid = [3, b, 2, 2, 2, 2, 2, c, 2, 3]
-        params = (b, c)
-    else:
-        params = (b,)
-    chain = tuple(prefix) + _S1_SPINE + tuple(tail)
-    entries = [2] * len(prefix) + mid + [2] * len(tail)
-    return FamilyBuild(
-        family,
-        params,
-        m,
-        ContractionPlan((chain,)),
-        moving,
-        (HJFraction(tuple(entries)),),
-    )
+    mid[at] = c
+    return (HJFraction((2,) * (c - 2) + tuple(mid) + (2,) * (b - 2)),)
+
+
+def _script_s3(b: int, c: int = 0, y: bool = False):
+    """Common script for S3 and its variants.
+
+    Three concurrent lines and a conic C tangent to L1 and L3; the
+    concurrency point is blown up twice (second center on L2), the tangency
+    points C&L1 and C&L3 are resolved (point, shared direction, and for L1 a
+    third center on L1), and the transverse point C&L2 is blown up twice
+    along C.  The deep point P sits where the last (-1)-curve U2 meets C;
+    variant towers deepen P'' (on Q2) c times and, for Y, P' (V2 & C) once.
+    """
+    m = SurfaceModel.plane({"C": 2, "L1": 1, "L2": 1, "L3": 1})
+    m = _blow(m, [("L1", 1), ("L2", 1), ("L3", 1)], "M1")
+    m = _blow(m, [("M1", 1), ("L2", 1)], "M2")
+    m = _blow(m, [("C", 1), ("L1", 1)], "Q1")
+    m = _blow(m, [("Q1", 1), ("C", 1), ("L1", 1)], "Q2")
+    m = _blow(m, [("Q2", 1), ("L1", 1)], "Q3")
+    m = _blow(m, [("C", 1), ("L2", 1)], "U1")
+    m = _blow(m, [("U1", 1), ("C", 1)], "U2")
+    m = _blow(m, [("C", 1), ("L3", 1)], "V1")
+    m = _blow(m, [("V1", 1), ("C", 1), ("L3", 1)], "V2")
+    if y:
+        m = _blow(m, [("V2", 1), ("C", 1)], "J")
+    m, tail, moving = _run_tower(m, "U2", "C", b - 2, "G", "E")
+    m, members, _ = _run_tower(m, "Q3", "Q2", c, "H", "F")
+    middle = tuple(reversed(members)) + ("L1", "M1", "L3")
+    big = ("Q1", "Q2", "C", "L2", "U1") + tuple(tail)
+    chains = (middle + ("V2", "V1"), big) if y else (("V1",), middle, big)
+    return m, ContractionPlan(chains), moving
+
+
+def _s3_chains(b: int, c: int = 0, y: bool = False) -> tuple[HJFraction, ...]:
+    middle = (2,) * c + (3, 2, 2)
+    big = HJFraction((2, 2 + c, b + 1 if y else b) + (2,) * b)
+    if y:
+        return HJFraction(middle + (2, 2)), big
+    return HJFraction((2,)), HJFraction(middle), big
+
+
+FAMILIES: dict[str, FamilySpec] = {
+    "T": FamilySpec(
+        ("a1", "a2", "a3", "a4"),
+        (2, 2, 2, 2),
+        _script_t,
+        lambda a1, a2, a3, a4: (
+            make_pattern(a4, a3, a1, a2),
+            make_pattern(a3, a2, a4, a1),
+        ),
+    ),
+    "S1": FamilySpec(("b",), (2,), _script_s1, _s1_chains),
+    "S1-Pp": FamilySpec(
+        ("b", "c"),
+        (2, 2),
+        lambda b, c: _script_s1(b, c, deep="A"),
+        lambda b, c: _s1_chains(b, c, at=4),
+    ),
+    "S1-Ppp": FamilySpec(
+        ("b", "c"),
+        (2, 2),
+        lambda b, c: _script_s1(b, c, deep="B"),
+        lambda b, c: _s1_chains(b, c, at=7),
+    ),
+    "S3": FamilySpec(("b",), (2,), _script_s3, _s3_chains),
+    "V": FamilySpec(("b", "c"), (2, 0), _script_s3, _s3_chains),
+    "Y": FamilySpec(
+        ("b", "c"),
+        (2, 0),
+        lambda b, c: _script_s3(b, c, y=True),
+        lambda b, c: _s3_chains(b, c, y=True),
+    ),
+}
+
+FAMILY_IDS = tuple(FAMILIES)
+
+
+def check_params(family: str, params: Sequence[int]) -> FamilySpec:
+    """Check a family id, the number of parameters, the size limit
+    ``MAX_PARAM_SUM`` and each parameter's least value; return the spec."""
+    spec = FAMILIES.get(family)
+    if spec is None:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILY_IDS)}")
+    if len(params) != len(spec.names):
+        raise ValueError(
+            f"family {family} takes {len(spec.names)} parameter(s) "
+            f"({', '.join(spec.names)}), got {len(params)}"
+        )
+    total = sum(params)
+    if total > MAX_PARAM_SUM:
+        raise ValueError(
+            f"parameters {tuple(params)} sum to {total}; the limit is {MAX_PARAM_SUM}"
+        )
+    for name, lo, value in zip(spec.names, spec.least, params):
+        if value < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return spec
+
+
+def build(family: str, params: Sequence[int]) -> FamilyBuild:
+    """Build one member of a family in ``FAMILIES``; bad parameters (see
+    :func:`check_params`) are refused before any blow-up."""
+    params = tuple(int(x) for x in params)
+    spec = check_params(family, params)
+    model, plan, test_curve = spec.script(*params)
+    return FamilyBuild(family, params, model, plan, test_curve, spec.chains(*params))
+
+
+def build_T(a1: int, a2: int, a3: int, a4: int) -> FamilyBuild:
+    """Four general lines: of the six double points, mark the four forming a
+    cycle L1-L2-L3-L4; blow each marked point up twice, then keep blowing up
+    the moving point of L_k another a_k - 2 times.
+
+    At the point shared by L_{k-1} and L_k the second (infinitely near)
+    center is taken on L_k, so every line carries exactly one deep point;
+    this is the assignment that reproduces the twelve-curve configuration at
+    a = (2, 2, 2, 2).  The two contracted chains are
+    ``[2 x (a4-1), a3, a1, 2 x (a2-1)]`` and
+    ``[2 x (a3-1), a2, a4, 2 x (a1-1)]``; the test curve E1 is the moving
+    (-1)-curve on L1.
+    """
+    return build("T", (a1, a2, a3, a4))
 
 
 def build_S1(b: int) -> FamilyBuild:
     """Nodal-cubic family: one contracted chain
     ``[3, b, 2 x 7, 3, 2 x (b-2)]``, hence one singularity of order
     ``27 b^2 - 36 b + 4``."""
-    return _build_s1("S1", b, None)
+    return build("S1", (b,))
 
 
 def build_S1_variant(b: int, c: int, which: str) -> FamilyBuild:
@@ -262,67 +363,14 @@ def build_S1_variant(b: int, c: int, which: str) -> FamilyBuild:
     """
     if which not in ("Pp", "Ppp"):
         raise ValueError(f"which must be 'Pp' or 'Ppp', got {which!r}")
-    return _build_s1(f"S1-{which}", b, c)
-
-
-def _build_s3(family: str, b: int, c: int) -> FamilyBuild:
-    """Common script for S3 and its variants.
-
-    Three concurrent lines and a conic C tangent to L1 and L3; the
-    concurrency point is blown up twice (second center on L2), the tangency
-    points C&L1 and C&L3 are resolved (point, shared direction, and for L1 a
-    third center on L1), and the transverse point C&L2 is blown up twice
-    along C.  The deep point P sits where the last (-1)-curve U2 meets C;
-    variant towers deepen P'' (on Q2) c times and, for Y, P' (V2 & C) once.
-    """
-    if b < 2:
-        raise ValueError(f"b must be >= 2, got {b}")
-    if family != "S3" and c < 0:
-        raise ValueError(f"c must be >= 0, got {c}")
-    m = SurfaceModel.plane({"C": 2, "L1": 1, "L2": 1, "L3": 1})
-    m = _blow(m, [("L1", 1), ("L2", 1), ("L3", 1)], "M1")
-    m = _blow(m, [("M1", 1), ("L2", 1)], "M2")
-    m = _blow(m, [("C", 1), ("L1", 1)], "Q1")
-    m = _blow(m, [("Q1", 1), ("C", 1), ("L1", 1)], "Q2")
-    m = _blow(m, [("Q2", 1), ("L1", 1)], "Q3")
-    m = _blow(m, [("C", 1), ("L2", 1)], "U1")
-    m = _blow(m, [("U1", 1), ("C", 1)], "U2")
-    m = _blow(m, [("C", 1), ("L3", 1)], "V1")
-    m = _blow(m, [("V1", 1), ("C", 1), ("L3", 1)], "V2")
-    if family == "Y":
-        m = _blow(m, [("V2", 1), ("C", 1)], "J")
-    m, tail, moving = _run_tower(m, "U2", "C", b - 2, "G", "E")
-    prefix: list[str] = []
-    if family in ("V", "Y") and c > 0:
-        m, members, _ = _run_tower(m, "Q3", "Q2", c, "H", "F")
-        prefix = list(reversed(members))
-    big = ("Q1", "Q2", "C", "L2", "U1") + tuple(tail)
-    if family == "Y":
-        chains = (tuple(prefix) + ("L1", "M1", "L3", "V2", "V1"), big)
-        expected = (
-            HJFraction((2,) * c + (3, 2, 2, 2, 2)),
-            HJFraction((2, 2 + c, b + 1) + (2,) * b),
-        )
-        params = (b, c)
-    else:
-        cc = 0 if family == "S3" else c
-        chains = (("V1",), tuple(prefix) + ("L1", "M1", "L3"), big)
-        expected = (
-            HJFraction((2,)),
-            HJFraction((2,) * cc + (3, 2, 2)),
-            HJFraction((2, 2 + cc, b) + (2,) * b),
-        )
-        params = (b,) if family == "S3" else (b, c)
-    return FamilyBuild(
-        family, params, m, ContractionPlan(chains), moving, expected
-    )
+    return build(f"S1-{which}", (b, c))
 
 
 def build_S3(b: int) -> FamilyBuild:
     """Concurrent-lines-plus-conic family: three contracted chains
     ``[2]``, ``[3, 2, 2]`` and ``[2, 2, b, 2 x b]``, hence singularities of
     orders 2, 7 and ``3 b^2 - 2 b - 2``."""
-    return _build_s3("S3", b, 0)
+    return build("S3", (b,))
 
 
 def build_S3_variant(b: int, c: int, which: str) -> FamilyBuild:
@@ -336,40 +384,4 @@ def build_S3_variant(b: int, c: int, which: str) -> FamilyBuild:
     """
     if which not in ("V", "Y"):
         raise ValueError(f"which must be 'V' or 'Y', got {which!r}")
-    return _build_s3(which, b, c)
-
-
-def check_size(params: Sequence[int]) -> None:
-    """Refuse parameters that sum to more than ``MAX_PARAM_SUM``."""
-    total = sum(params)
-    if total > MAX_PARAM_SUM:
-        raise ValueError(
-            f"parameters {tuple(params)} sum to {total}; the limit is {MAX_PARAM_SUM}"
-        )
-
-
-def build(family: str, params: Sequence[int]) -> FamilyBuild:
-    """Dispatch a family id (see FAMILY_IDS) to its builder; parameters
-    above the size limit (see :func:`check_size`) are refused before any
-    blow-up."""
-    params = tuple(int(x) for x in params)
-    if family not in FAMILY_IDS:
-        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILY_IDS)}")
-    want = len(PARAM_NAMES[family])
-    if len(params) != want:
-        raise ValueError(
-            f"family {family} takes {want} parameter(s) "
-            f"({', '.join(PARAM_NAMES[family])}), got {len(params)}"
-        )
-    check_size(params)
-    if family == "T":
-        return build_T(*params)
-    if family == "S1":
-        return build_S1(*params)
-    if family == "S1-Pp":
-        return build_S1_variant(*params, which="Pp")
-    if family == "S1-Ppp":
-        return build_S1_variant(*params, which="Ppp")
-    if family == "S3":
-        return build_S3(*params)
-    return build_S3_variant(params[0], params[1], which=family)
+    return build(which, (b, c))

@@ -3,7 +3,9 @@
 Each suite re-derives its expectations independently where possible (dense
 cofactor determinants, direct re-evaluation, closed forms) and scans the
 full stated parameter ranges, reporting the first counterexample on
-failure.
+failure.  Every ``families`` check runs one predicate on each member it
+scans; that predicate reads the family's closed forms and stated classes
+from ``_FORMS``, which the builders never see.
 """
 
 from __future__ import annotations
@@ -215,12 +217,68 @@ def verify_kollar() -> list[Check]:
     return checks
 
 
-def _t_closed_form(a1: int, a2: int, a3: int, a4: int) -> Fraction:
+def _either(q1: int, q: int) -> tuple[int, int]:
+    """Both admissible ``q1`` of an order-``q`` chain (read either way)."""
+    return q1 % q, pow(q1, -1, q)
+
+
+def _t_forms(a1: int, a2: int, a3: int, a4: int):
+    upper = pattern_determinant(a4, a3, a1, a2)
+    lower = pattern_determinant(a3, a2, a4, a1)
     num = (a2 * a3 * a4 - a3 * a4 + a4 - 1) * (
         (a1 - 1) * (a2 - 1) * (a3 - 1) * (a4 - 1) - a1 * a3 - a2 * a4 + 2
     )
-    den = pattern_determinant(a4, a3, a1, a2) * pattern_determinant(a3, a2, a4, a1)
-    return Fraction(num, den)
+    orders = ((upper, None), (lower, None))
+    return a1 + a2 + a3 + a4, orders, Fraction(num, upper * lower)
+
+
+def _s1_forms(b: int):
+    q = 27 * b * b - 36 * b + 4
+    return b + 8, ((q, _either(9 * b * b - 9 * b + 1, q)),), Fraction(18 * (b - 2), q)
+
+
+def _s3_forms(b: int):
+    q = 3 * b * b - 2 * b - 2
+    orders = ((2, (1,)), (7, (3,)), (q, _either(2 * b * b - b - 1, q)))
+    return b + 7, orders, Fraction(2 * (b - 5), q)
+
+
+_AMPLE = {KClass.AMPLE}
+_TRIVIAL = {KClass.NUMERICALLY_TRIVIAL}
+_ANTI = {KClass.ANTI_AMPLE}
+
+
+def _t_region(a1: int, a2: int, a3: int, a4: int):
+    if (a1, a2, a3, a4) == (3, 3, 3, 3):
+        return _TRIVIAL
+    if min(a1, a2, a3, a4) >= 3:
+        return _AMPLE
+    if a1 == a3 == 2:
+        return _ANTI
+    if a1 == a2 == 2:
+        lo, hi = min(a3, a4), max(a3, a4)
+        ample = lo >= 6 or (lo == 5 and hi >= 7) or (lo == 4 and hi >= 10)
+        return _AMPLE if ample else _TRIVIAL | _ANTI
+    return None
+
+
+def _variant_region(b: int, c: int):
+    return _AMPLE if (b, c) == (8, 8) else None
+
+
+# What verify expects of each family, written down apart from the builders:
+# (number of singularities, the classes stated for a member or None, closed
+# forms or None), where the closed forms of a member are its blow-up count,
+# ((q, admissible q1 or None) per singularity) and k_value.
+_FORMS = {
+    "T": (2, _t_region, _t_forms),
+    "S1": (1, lambda b: _TRIVIAL if b == 2 else _AMPLE, _s1_forms),
+    "S1-Pp": (1, _variant_region, None),
+    "S1-Ppp": (1, _variant_region, None),
+    "S3": (3, lambda b: _ANTI if b < 5 else _TRIVIAL if b == 5 else _AMPLE, _s3_forms),
+    "V": (3, _variant_region, None),
+    "Y": (2, _variant_region, None),
+}
 
 
 def _genus_ok(fb: families.FamilyBuild) -> bool:
@@ -232,172 +290,64 @@ def _sign(x: Fraction) -> int:
 
 
 def _sign_independent(fb: families.FamilyBuild) -> bool:
-    values = [fb.pullback_k_dot(nm) for nm in fb.non_contracted_curves()]
-    signs = {_sign(v) for v in values}
-    return len(signs) == 1
+    return len({_sign(fb.pullback_k_dot(nm)) for nm in fb.non_contracted_curves()}) == 1
+
+
+def _kollar_agrees(params: tuple[int, ...], sings: list) -> bool:
+    """T's orders match the weight-system types when ``w* = 1``."""
+    p = KollarParams(*params)
+    if weights(p).wstar != 1:
+        return True
+    return all(
+        s.q == k.q and s.q1 in (k.q1, k.q1_inverse())
+        for s, (k, _) in zip(sings, singularity_types(p))
+    )
+
+
+def _member_ok(case: tuple[str, tuple[int, ...]]) -> bool:
+    family, params = case
+    count, region, closed = _FORMS[family]
+    fb = families.build(family, params)  # validates chains and rho
+    blowups = fb.model.blowup_count
+    if blowups != sum(len(c) for c in fb.plan.chains) or not _genus_ok(fb):
+        return False
+    rep = fb.classify()
+    sings = [s for s, _ in rep.singularities]
+    if len(sings) != count:
+        return False
+    if closed is not None:
+        want_blowups, orders, k_value = closed(*params)
+        if blowups != want_blowups or rep.k_value != k_value:
+            return False
+        for s, (q, q1s) in zip(sings, orders):
+            if s.q != q or (q1s is not None and s.q1 not in q1s):
+                return False
+    classes = region(*params)
+    if classes is not None and rep.k_class not in classes:
+        return False
+    if family == "T" and not _kollar_agrees(params, sings):
+        return False
+    if family == "V" and params[1] == 0:  # V(b, 0) is S3(b)
+        if fb.expected_chains != families.build("S3", params[:1]).expected_chains:
+            return False
+    return _sign_independent(fb)
 
 
 def verify_families() -> list[Check]:
-    checks = []
-
-    def t_ok(a: tuple[int, int, int, int]) -> bool:
-        a1, a2, a3, a4 = a
-        fb = families.build_T(a1, a2, a3, a4)  # validates chains and rho
-        if fb.model.blowup_count != 8 + sum(x - 2 for x in a):
-            return False
-        if sum(len(c) for c in fb.plan.chains) != sum(a):
-            return False
-        if not _genus_ok(fb):
-            return False
-        rep = fb.classify()
-        if rep.k_value != _t_closed_form(a1, a2, a3, a4):
-            return False
-        (s1, _), (s2, _) = rep.singularities
-        if s1.q != pattern_determinant(a4, a3, a1, a2):
-            return False
-        if s2.q != pattern_determinant(a3, a2, a4, a1):
-            return False
-        p = KollarParams(a1, a2, a3, a4)
-        if weights(p).wstar == 1:
-            (k1, _), (k2, _) = singularity_types(p)
-            if (s1.q, s2.q) != (k1.q, k2.q):
-                return False
-            if s1.q1 not in (k1.q1, k1.q1_inverse()):
-                return False
-            if s2.q1 not in (k2.q1, k2.q1_inverse()):
-                return False
-        if a == (3, 3, 3, 3):
-            if rep.k_class is not KClass.NUMERICALLY_TRIVIAL:
-                return False
-        elif min(a) >= 3:
-            if rep.k_class is not KClass.AMPLE:
-                return False
-        return _sign_independent(fb)
-
-    checks.append(_scan("families.T_sweep", product(range(2, 7), repeat=4), t_ok))
-
-    def threshold(k: int, l: int) -> bool:
-        lo, hi = min(k, l), max(k, l)
-        return lo >= 6 or (lo == 5 and hi >= 7) or (lo == 4 and hi >= 10)
-
-    checks.append(
-        _scan(
-            "families.T_adjacent_22",
-            product(range(2, 13), repeat=2),
-            lambda t: (families.build_T(2, 2, *t).classify().k_class is KClass.AMPLE)
-            == threshold(*t),
-        )
-    )
-    checks.append(
-        _scan(
-            "families.T_opposite_22",
-            product(range(2, 13), repeat=2),
-            lambda t: families.build_T(2, t[0], 2, t[1]).classify().k_class
-            is KClass.ANTI_AMPLE,
-        )
-    )
-
-    def s1_ok(b: int) -> bool:
-        fb = families.build_S1(b)
-        if fb.model.blowup_count != b + 8:
-            return False
-        if sum(len(c) for c in fb.plan.chains) != b + 8:
-            return False
-        if not _genus_ok(fb):
-            return False
-        rep = fb.classify()
-        ((sing, _),) = rep.singularities
-        q = 27 * b * b - 36 * b + 4
-        q1 = (9 * b * b - 9 * b + 1) % q
-        if sing.q != q or sing.q1 not in (q1, pow(q1, -1, q)):
-            return False
-        if rep.k_value != Fraction(18 * (b - 2), q):
-            return False
-        want = KClass.NUMERICALLY_TRIVIAL if b == 2 else KClass.AMPLE
-        return rep.k_class is want and _sign_independent(fb)
-
-    checks.append(_scan("families.S1_sweep", range(2, 13), s1_ok))
-
-    def s3_ok(b: int) -> bool:
-        fb = families.build_S3(b)
-        if fb.model.blowup_count != b + 7:
-            return False
-        if sum(len(c) for c in fb.plan.chains) != b + 7:
-            return False
-        if not _genus_ok(fb):
-            return False
-        rep = fb.classify()
-        (one, _), (seven, _), (big, _) = rep.singularities
-        if (one.q, one.q1) != (2, 1) or (seven.q, seven.q1) != (7, 3):
-            return False
-        q = 3 * b * b - 2 * b - 2
-        q1 = (2 * b * b - b - 1) % q
-        if big.q != q or big.q1 not in (q1, pow(q1, -1, q)):
-            return False
-        if rep.k_value != Fraction(2 * (b - 5), q):
-            return False
-        want = (
-            KClass.ANTI_AMPLE
-            if b < 5
-            else KClass.NUMERICALLY_TRIVIAL if b == 5 else KClass.AMPLE
-        )
-        return rep.k_class is want and _sign_independent(fb)
-
-    checks.append(_scan("families.S3_sweep", range(2, 13), s3_ok))
-
-    def s1_variant_ok(case: tuple[int, int, str]) -> bool:
-        b, c, which = case
-        fb = families.build_S1_variant(b, c, which)  # validates chain and rho
-        if not _genus_ok(fb):
-            return False
-        rep = fb.classify()
-        if (b, c) == (8, 8) and rep.k_class is not KClass.AMPLE:
-            return False
-        return len(rep.singularities) == 1
-
-    checks.append(
-        _scan(
-            "families.S1_variants",
-            (
-                (b, c, which)
-                for which in ("Pp", "Ppp")
-                for b, c in product(range(2, 9), repeat=2)
-            ),
-            s1_variant_ok,
-        )
-    )
-
-    def s3_variant_ok(case: tuple[int, int, str]) -> bool:
-        b, c, which = case
-        fb = families.build_S3_variant(b, c, which)
-        if not _genus_ok(fb):
-            return False
-        rep = fb.classify()
-        if (b, c) == (8, 8) and rep.k_class is not KClass.AMPLE:
-            return False
-        if which == "V":
-            if len(rep.singularities) != 3:
-                return False
-            if c == 0:
-                base = families.build_S3(b)
-                if fb.expected_chains != base.expected_chains:
-                    return False
-            return True
-        return len(rep.singularities) == 2
-
-    checks.append(
-        _scan(
-            "families.S3_variants",
-            (
-                (b, c, which)
-                for which in ("V", "Y")
-                for b in range(2, 9)
-                for c in range(0, 9)
-            ),
-            s3_variant_ok,
-        )
-    )
-    return checks
+    grid = range(2, 13)
+    variants = list(product(range(2, 9), repeat=2))
+    cases = {
+        "T_sweep": (("T", a) for a in product(range(2, 7), repeat=4)),
+        "T_adjacent_22": (("T", (2, 2, k, l)) for k, l in product(grid, repeat=2)),
+        "T_opposite_22": (("T", (2, k, 2, l)) for k, l in product(grid, repeat=2)),
+        "S1_sweep": (("S1", (b,)) for b in grid),
+        "S3_sweep": (("S3", (b,)) for b in grid),
+        "S1_variants": ((f, p) for f in ("S1-Pp", "S1-Ppp") for p in variants),
+        "S3_variants": (
+            (f, p) for f in ("V", "Y") for p in product(range(2, 9), range(9))
+        ),
+    }
+    return [_scan(f"families.{name}", cs, _member_ok) for name, cs in cases.items()]
 
 
 _SUITES = {

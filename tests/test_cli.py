@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -6,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qhpp import families, verify
 from qhpp.cli import main
 from qhpp.hjcf import HJFraction
+from qhpp.lattice import SurfaceModel
 
 
 def run(capsys, *argv):
@@ -188,16 +192,11 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
 
 
 def test_failed_build_check_exits_two(capsys, monkeypatch):
-    real = families.build_S3
-
-    def broken(b):
-        fb = real(b)
-        wrong = (HJFraction((2,)),) * len(fb.expected_chains)
-        return families.FamilyBuild(
-            fb.family, fb.params, fb.model, fb.plan, fb.test_curve, wrong
-        )
-
-    monkeypatch.setattr(families, "build_S3", broken)
+    spec = families.FAMILIES["S3"]
+    wrong = dataclasses.replace(
+        spec, chains=lambda b: (HJFraction((2,)),) * len(spec.chains(b))
+    )
+    monkeypatch.setitem(families.FAMILIES, "S3", wrong)
     code, out, err = run(capsys, "family", "S3", "6")
     assert code == 2
     assert out == ""
@@ -220,6 +219,40 @@ def test_sweep_size_guard_checks_largest_corner(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: parameters (1000, 1001) sum to 2001; the limit is 2000\n"
+
+
+def no_build(*args):
+    raise AssertionError("a member was built")
+
+
+def test_sweep_member_count_guard_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(families, "build", no_build)
+    code, out, err = run(capsys, "sweep", "T", "2..500", "2..500", "2..500", "2..500")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the box has 62001498001 members; the limit is 10000\n"
+    assert families.MAX_SWEEP_MEMBERS == 10_000
+
+
+def test_sweep_member_count_guard_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(families, "MAX_SWEEP_MEMBERS", 4)
+    code, out, _ = run(capsys, "sweep", "S1-Pp", "2..3", "2..3")
+    assert code == 0 and len(out.splitlines()) == 5
+    code, out, err = run(capsys, "sweep", "S1-Pp", "2..3", "2..4")
+    assert (code, out) == (1, "")
+    assert err == "error: the box has 6 members; the limit is 4\n"
+
+
+@pytest.mark.parametrize("family", families.FAMILY_IDS)
+def test_domain_error_exits_one(capsys, monkeypatch, family):
+    monkeypatch.setattr(SurfaceModel, "blow_up", no_build)
+    spec = families.FAMILIES[family]
+    for i, name in enumerate(spec.names):
+        params = [str(lo) for lo in spec.least]
+        params[i] = str(spec.least[i] - 1)
+        want = f"error: {name} must be >= {spec.least[i]}, got {params[i]}\n"
+        assert run(capsys, "family", family, *params) == (1, "", want)
+        assert run(capsys, "sweep", family, *params) == (1, "", want)
 
 
 def test_main_repeated_in_one_process_matches_separate_runs(capsys):

@@ -1,9 +1,15 @@
-import pytest
+import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
+
+import pytest
+
+from qhpp import verify
 
 from qhpp.contraction import ContractionPlan, KClass, classify, pullback_k_dot
 from qhpp.families import (
+    FAMILIES,
     FAMILY_IDS,
     MAX_PARAM_SUM,
     BuildCheckError,
@@ -330,3 +336,69 @@ def test_size_guard_refuses_before_any_blow_up(monkeypatch):
     with pytest.raises(ValueError, match="sum to 2001"):
         build("V", (2001, 0))
     assert MAX_PARAM_SUM == 2000
+    # the public builders go through the same check
+    for call in (
+        lambda: build_T(2, 2, 2, 1995),
+        lambda: build_S1(2001),
+        lambda: build_S1_variant(1000, 1001, "Ppp"),
+        lambda: build_S3(2001),
+        lambda: build_S3_variant(2001, 0, "Y"),
+    ):
+        with pytest.raises(ValueError, match="the limit is 2000"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "family, index",
+    [(f, i) for f, spec in FAMILIES.items() for i in range(len(spec.names))],
+)
+def test_each_least_value_is_checked_before_any_blow_up(monkeypatch, family, index):
+    def no_blow_up(*args):
+        raise AssertionError("blow_up called")
+
+    monkeypatch.setattr(SurfaceModel, "blow_up", no_blow_up)
+    spec = FAMILIES[family]
+    params = list(spec.least)
+    params[index] -= 1
+    name = spec.names[index]
+    with pytest.raises(ValueError, match=f"^{name} must be >= {spec.least[index]}, "):
+        build(family, params)
+
+
+def test_verify_families_per_check():
+    results = verify.run("families")
+    got = [(c.name, c.passed, c.detail) for c in results]
+    assert got == [
+        (f"families.{name}", True, f"{cases} cases")
+        for name, cases in [
+            ("T_sweep", 625),
+            ("T_adjacent_22", 121),
+            ("T_opposite_22", 121),
+            ("S1_sweep", 11),
+            ("S3_sweep", 11),
+            ("S1_variants", 98),
+            ("S3_variants", 126),
+        ]
+    ]
+
+
+def test_readme_family_table_matches_registry():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Families", 1)[1].split("\n\n", 2)[1]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in table.splitlines()[2:]
+    ]
+    ids = [row[0].strip("`") for row in rows]
+    assert sorted(ids) == sorted(FAMILY_IDS)
+    assert len(ids) == len(set(ids))
+    for row in rows:
+        spec = FAMILIES[row[0].strip("`")]
+        names, domain = re.fullmatch(r"`([^`]*)` \((.*)\)", row[1]).groups()
+        assert tuple(names.split()) == spec.names
+        if len(set(spec.least)) == 1:
+            assert domain == f">= {spec.least[0]}"
+        else:
+            assert domain == ", ".join(
+                f"{n} >= {lo}" for n, lo in zip(spec.names, spec.least)
+            )
