@@ -27,9 +27,13 @@ from .hjcf import (
     discrepancy_coefficients,
     evaluate,
     expand,
+    expansion_length,
     partial_orders,
 )
 from .kollar import KollarParams, singularity_types, weights
+
+# The most entries `expand` prints; a longer chain is refused before it is built.
+MAX_EXPAND_LENGTH = 1_000_000
 
 
 class _UsageError(Exception):
@@ -68,18 +72,33 @@ def _report_record(family: str, params: Sequence[int], report: QhppReport) -> di
 def cmd_eval(args) -> int:
     w = HJFraction(tuple(args.entries))
     value = evaluate(w)
+    try:
+        q = str(value.numerator)  # every later value has at most as many digits
+    except ValueError:  # beyond the interpreter's int-to-str limit
+        raise ValueError(
+            f"the order of this chain has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     po = partial_orders(w)
     coeffs = discrepancy_coefficients(w)
-    print(f"w = {w}")
-    print(f"q/q1 = {value.numerator}/{value.denominator}")
-    print(f"|w| = {determinant(w)}")
-    print(f"u = ({', '.join(str(x) for x in po.u)})")
-    print(f"v = ({', '.join(str(x) for x in po.v)})")
-    print(f"discrepancies = ({', '.join(_frac(d) for d in coeffs)})")
+    lines = [
+        f"w = {w}",
+        f"q/q1 = {q}/{value.denominator}",
+        f"|w| = {determinant(w)}",
+        f"u = ({', '.join(str(x) for x in po.u)})",
+        f"v = ({', '.join(str(x) for x in po.v)})",
+        f"discrepancies = ({', '.join(_frac(d) for d in coeffs)})",
+    ]
+    print("\n".join(lines))
     return 0
 
 
 def cmd_expand(args) -> int:
+    length = expansion_length(args.q, args.q1)
+    if length > MAX_EXPAND_LENGTH:
+        raise ValueError(
+            f"q/q1 expands to {length} entries; the limit is {MAX_EXPAND_LENGTH}"
+        )
     print(expand(args.q, args.q1))
     return 0
 

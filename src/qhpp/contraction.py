@@ -6,6 +6,10 @@ contracted curves.  When the rank lands at one, the sign of a single
 intersection number ``E . f*(K)`` for any non-contracted curve E decides
 whether the canonical class of the contracted surface is ample, numerically
 trivial or anti-ample.
+
+:func:`contract` returns a :class:`Contraction` holding the singularities,
+the rank and the discrepancy coefficient ``d_C`` of each contracted curve;
+``E . f*(K) = E.K + sum d_C (E.C)`` and the trichotomy are read from it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Mapping
 
 from .hjcf import CyclicSingularity, HJFraction, discrepancy_coefficients
 from .lattice import SurfaceModel
@@ -22,6 +27,7 @@ __all__ = [
     "KClass",
     "ContractionPlan",
     "QhppReport",
+    "Contraction",
     "contract",
     "pullback_k_dot",
     "classify",
@@ -84,24 +90,64 @@ class QhppReport:
         }
 
 
-def _check_negative_definite(model: SurfaceModel, chain: Sequence[str]) -> None:
-    # leading principal minors of the (tridiagonal) Gram matrix must
-    # alternate in sign
-    minor_prev, minor = 0, 1
-    for k, nm in enumerate(chain, start=1):
-        minor_prev, minor = minor, model.self_int(nm) * minor - minor_prev
-        if (-1) ** k * minor <= 0:
-            raise ValueError(f"chain {list(chain)} is not negative definite")
+@dataclass(frozen=True)
+class Contraction:
+    """A plan contracted on a model by :func:`contract`; queries read these
+    fields instead of extracting the chains again."""
+
+    model: SurfaceModel
+    singularities: tuple[tuple[CyclicSingularity, HJFraction], ...]
+    rho: int
+    # contracted curve name -> its discrepancy coefficient d_C
+    discrepancy: Mapping[str, Fraction]
+
+    def pullback_k_dot(self, name: str) -> Fraction:
+        """``E . f*(K) = E.K + sum d_C (E.C)`` for the non-contracted curve E
+        named ``name``, exactly; walks E's sparse row once.
+
+        For a (-1)-curve disjoint from all chains this is exactly -1.
+        """
+        if name in self.discrepancy:
+            raise ValueError(f"{name!r} is contracted by the plan")
+        total = Fraction(self.model.k_dot(name))
+        for curve, hits in self.model.meets(name).items():
+            if curve in self.discrepancy:
+                total += self.discrepancy[curve] * hits
+        return total
+
+    def classify(self, test_curve: str) -> QhppReport:
+        """Trichotomy of the contracted canonical class.
+
+        Only valid at Picard rank one, where the sign of a single
+        non-contracted curve's pairing decides the class; any other rank is
+        refused.
+        """
+        if self.rho != 1:
+            raise ValueError(
+                f"Picard rank after contraction is {self.rho}; need 1 to classify"
+            )
+        value = self.pullback_k_dot(test_curve)
+        if value > 0:
+            k_class = KClass.AMPLE
+        elif value < 0:
+            k_class = KClass.ANTI_AMPLE
+        else:
+            k_class = KClass.NUMERICALLY_TRIVIAL
+        return QhppReport(self.singularities, self.rho, k_class, value, test_curve)
 
 
-def contract(
-    model: SurfaceModel, plan: ContractionPlan
-) -> tuple[tuple[tuple[CyclicSingularity, HJFraction], ...], int]:
-    """Contract the plan's chains: singularity list and resulting rank.
+def contract(model: SurfaceModel, plan: ContractionPlan) -> Contraction:
+    """Contract the plan's chains.
 
     Each chain contributes the singularity ``1/q(1, q1)`` with
     ``q = determinant(chain)`` and ``q/q1 = evaluate(chain)``; the Picard
     rank drops from ``1 + blowup_count`` by the number of contracted curves.
+    Chains that meet each other are refused.
+
+    Every chain is negative definite without a check: ``extract_chain``
+    requires self-intersections ``<= -2``, consecutive curves meeting once
+    and no other meetings, so up to sign the leading minors of a chain's
+    Gram matrix are continuants of entries ``>= 2``, which are positive.
     """
     extracted = [model.extract_chain(chain) for chain in plan.chains]
     chains = plan.chains
@@ -116,73 +162,21 @@ def contract(
     if meetings:
         *_, a, b = min(meetings)
         raise ValueError(f"chains are not disjoint: {a!r} meets {b!r}")
-    for chain in chains:
-        _check_negative_definite(model, chain)
+    discrepancy = {
+        nm: coeff
+        for chain, w in zip(chains, extracted)
+        for nm, coeff in zip(chain, discrepancy_coefficients(w))
+    }
     singularities = tuple((CyclicSingularity.from_chain(w), w) for w in extracted)
     rho = 1 + model.blowup_count - sum(len(chain) for chain in chains)
-    return singularities, rho
+    return Contraction(model, singularities, rho, MappingProxyType(discrepancy))
 
 
 def pullback_k_dot(model: SurfaceModel, plan: ContractionPlan, name: str) -> Fraction:
-    """``E . f*(K)`` for the non-contracted curve E named ``name``, exactly.
-
-    Equals ``E.K`` plus, for every chain, the discrepancy-weighted sum of
-    E's intersections with the chain curves; for a (-1)-curve disjoint from
-    all chains this is exactly -1.
-    """
-    coefficients = (
-        discrepancy_coefficients(model.extract_chain(chain)) for chain in plan.chains
-    )
-    return _pullback_k_dot(model, plan, name, coefficients)
-
-
-def _pullback_k_dot(
-    model: SurfaceModel,
-    plan: ContractionPlan,
-    name: str,
-    coefficients: Iterable[Sequence[Fraction]],
-) -> Fraction:
-    """:func:`pullback_k_dot` with the discrepancy coefficients of the plan's
-    chains already known, in plan order (an iterator is consumed one chain
-    at a time)."""
-    if name in plan.curve_names:
-        raise ValueError(f"{name!r} is contracted by the plan")
-    total = Fraction(model.k_dot(name))
-    for chain, coeffs in zip(plan.chains, coefficients):
-        for curve, coeff in zip(chain, coeffs):
-            hits = model.intersect(name, curve)
-            if hits:
-                total += coeff * hits
-    return total
+    """``contract(model, plan).pullback_k_dot(name)``."""
+    return contract(model, plan).pullback_k_dot(name)
 
 
 def classify(model: SurfaceModel, plan: ContractionPlan, test_curve: str) -> QhppReport:
-    """Trichotomy of the contracted canonical class.
-
-    Only valid at Picard rank one, where the sign of a single
-    non-contracted curve's pairing decides the class; any other rank is
-    refused.
-    """
-    return _classify(model, plan, test_curve, contract(model, plan))
-
-
-def _classify(
-    model: SurfaceModel,
-    plan: ContractionPlan,
-    test_curve: str,
-    contracted: tuple[tuple[tuple[CyclicSingularity, HJFraction], ...], int],
-) -> QhppReport:
-    """:func:`classify` with ``contracted = contract(model, plan)`` already
-    computed."""
-    singularities, rho = contracted
-    if rho != 1:
-        raise ValueError(f"Picard rank after contraction is {rho}; need 1 to classify")
-    coefficients = (discrepancy_coefficients(w) for _, w in singularities)
-    value = _pullback_k_dot(model, plan, test_curve, coefficients)
-    if value > 0:
-        k_class = KClass.AMPLE
-    elif value < 0:
-        k_class = KClass.ANTI_AMPLE
-    else:
-        k_class = KClass.NUMERICALLY_TRIVIAL
-    return QhppReport(singularities, rho, k_class, value, test_curve)
+    """``contract(model, plan).classify(test_curve)``."""
+    return contract(model, plan).classify(test_curve)

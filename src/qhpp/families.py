@@ -7,7 +7,9 @@ contract and the test curve, and the template of the chain strings the
 script is expected to produce.  :func:`build` checks the parameters against
 the spec (:func:`check_params`), runs the script and fails loudly if the
 scripted lattice does not reproduce the template or does not land at Picard
-rank one.
+rank one.  The resulting :class:`FamilyBuild` holds the plan's
+:class:`~qhpp.contraction.Contraction`, made once, from which its class and
+every ``E . f*(K)`` are read.
 
 Families:
 
@@ -22,17 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Sequence
 
-from .contraction import (
-    ContractionPlan,
-    QhppReport,
-    _classify,
-    _pullback_k_dot,
-    contract,
-)
-from .hjcf import HJFraction, discrepancy_coefficients, make_pattern, reverse
+from .contraction import Contraction, ContractionPlan, QhppReport, contract
+from .hjcf import HJFraction, make_pattern, reverse
 from .lattice import BlowupStep, SurfaceModel
 
 __all__ = [
@@ -69,9 +64,8 @@ class BuildCheckError(Exception):
 class FamilyBuild:
     """A scripted surface model with its contraction plan and bookkeeping.
 
-    The plan is contracted once, at construction; :meth:`classify` and
-    :meth:`pullback_k_dot` reuse that result instead of extracting the
-    chains again.
+    The plan is contracted once, at construction, into ``contraction``;
+    :meth:`classify` and :meth:`pullback_k_dot` read it.
     """
 
     family: str
@@ -80,16 +74,14 @@ class FamilyBuild:
     plan: ContractionPlan
     test_curve: str
     expected_chains: tuple[HJFraction, ...]
-    # contract(model, plan), computed by __post_init__
-    _contracted: tuple = field(init=False, repr=False, compare=False)
+    contraction: Contraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
-            contracted = contract(self.model, self.plan)
+            contraction = contract(self.model, self.plan)
         except (ValueError, KeyError) as exc:  # the script is broken, not the input
             raise BuildCheckError(f"{self.family}{self.params}: {exc}") from exc
-        singularities, rho = contracted
-        extracted = tuple(w for _, w in singularities)
+        extracted = tuple(w for _, w in contraction.singularities)
         if len(extracted) != len(self.expected_chains):
             raise BuildCheckError(
                 f"{self.family}{self.params}: {len(extracted)} chains, "
@@ -100,23 +92,17 @@ class FamilyBuild:
                 raise BuildCheckError(
                     f"{self.family}{self.params}: extracted {got}, expected {want}"
                 )
-        if rho != 1:
-            raise BuildCheckError(f"{self.family}{self.params}: rho = {rho}, not 1")
-        object.__setattr__(self, "_contracted", contracted)
+        if contraction.rho != 1:
+            raise BuildCheckError(
+                f"{self.family}{self.params}: rho = {contraction.rho}, not 1"
+            )
+        object.__setattr__(self, "contraction", contraction)
 
     def classify(self) -> QhppReport:
-        """``classify(model, plan, test_curve)`` without contracting again."""
-        return _classify(self.model, self.plan, self.test_curve, self._contracted)
-
-    @cached_property
-    def _coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
-        singularities, _ = self._contracted
-        return tuple(discrepancy_coefficients(w) for _, w in singularities)
+        return self.contraction.classify(self.test_curve)
 
     def pullback_k_dot(self, name: str) -> Fraction:
-        """``pullback_k_dot(model, plan, name)`` on the chains extracted at
-        construction; their discrepancy coefficients are computed once."""
-        return _pullback_k_dot(self.model, self.plan, name, self._coefficients)
+        return self.contraction.pullback_k_dot(name)
 
     def non_contracted_curves(self) -> tuple[str, ...]:
         """All tracked curves surviving the contraction (test candidates)."""

@@ -32,6 +32,7 @@ __all__ = [
     "evaluate",
     "partial_orders",
     "expand",
+    "expansion_length",
     "bump_determinant",
     "make_pattern",
     "pattern_determinant",
@@ -132,12 +133,7 @@ def expand(q: int, q1: int) -> HJFraction:
     This fixes the canonical orientation of a resolution chain: reading the
     result backwards expands q over the inverse of q1 mod q instead.
     """
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    if not 1 <= q1 < q:
-        raise ValueError(f"q1 must satisfy 1 <= q1 < q, got q1={q1} for q={q}")
-    if gcd(q, q1) != 1:
-        raise ValueError(f"q and q1 must be coprime, got gcd {gcd(q, q1)}")
+    _check_order(q, q1)
     entries = []
     while True:
         n = -(-q // q1)
@@ -146,6 +142,35 @@ def expand(q: int, q1: int) -> HJFraction:
         if q1 == 0:
             break
     return HJFraction(tuple(entries))
+
+
+def expansion_length(q: int, q1: int) -> int:
+    """``len(expand(q, q1))`` in O(log q) steps, without building the chain.
+
+    While ``q1 < q <= 2 q1`` every step of :func:`expand` writes a 2 and
+    lowers both q and q1 by ``q - q1``; such a run is counted in one step.
+    """
+    _check_order(q, q1)
+    length = 0
+    while q1:
+        d = q - q1
+        if d <= q1:
+            run = q1 // d
+            length += run
+            q, q1 = q - run * d, q1 - run * d
+        else:
+            length += 1
+            q, q1 = q1, -(-q // q1) * q1 - q
+    return length
+
+
+def _check_order(q: int, q1: int) -> None:
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    if not 1 <= q1 < q:
+        raise ValueError(f"q1 must satisfy 1 <= q1 < q, got q1={q1} for q={q}")
+    if gcd(q, q1) != 1:
+        raise ValueError(f"q and q1 must be coprime, got gcd {gcd(q, q1)}")
 
 
 def bump_determinant(w: HJFraction, j: int) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qhpp import families, verify
+from qhpp import cli, families, verify
 from qhpp.cli import main
 from qhpp.hjcf import HJFraction
 from qhpp.lattice import SurfaceModel
@@ -54,6 +54,32 @@ def test_expand(capsys):
     assert code == 0
     assert out.strip() == "[3, 2, 2]"
     assert run(capsys, "expand", "6", "3")[0] == 1
+
+
+def test_expand_refuses_a_chain_over_the_limit(capsys, monkeypatch):
+    # q/(q-1) expands to q - 1 twos; a 13-digit q is refused at once
+    code, out, err = run(capsys, "expand", str(10**13 + 1), str(10**13))
+    assert (code, out) == (1, "")
+    assert err == "error: q/q1 expands to 10000000000000 entries; the limit is 1000000\n"
+    assert cli.MAX_EXPAND_LENGTH == 1_000_000
+    monkeypatch.setattr(cli, "MAX_EXPAND_LENGTH", 5)
+    assert run(capsys, "expand", "6", "5") == (0, "[2, 2, 2, 2, 2]\n", "")
+    code, out, err = run(capsys, "expand", "7", "6")
+    assert (code, out) == (1, "")
+    assert err == "error: q/q1 expands to 6 entries; the limit is 5\n"
+
+
+def test_eval_refuses_an_order_too_long_to_print(capsys):
+    # the order of [3 x l] grows like 2.618^l: 11000 entries give over 4300
+    # digits, beyond the interpreter's default int-to-str limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "eval", *["3"] * 11000)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, out) == (1, "")
+    assert err == "error: the order of this chain has more than 4300 digits\n"
 
 
 def test_kollar_4445(capsys):

@@ -38,9 +38,9 @@ def test_plan_validation():
 
 def test_empty_plan_on_plane():
     m = SurfaceModel.plane({"L": 1})
-    sings, rho = contract(m, ContractionPlan(()))
-    assert sings == ()
-    assert rho == 1
+    contraction = contract(m, ContractionPlan(()))
+    assert contraction.singularities == ()
+    assert contraction.rho == 1
     # the plane itself is classified by any curve: K is anti-ample
     report = classify(m, ContractionPlan(()), "L")
     assert report.k_class is KClass.ANTI_AMPLE
@@ -49,9 +49,9 @@ def test_empty_plan_on_plane():
 
 def test_contract_tower_chain():
     m = tower_model()
-    sings, rho = contract(m, ContractionPlan((("A1", "A2"),)))
-    assert rho == 1 + 4 - 2 == 3
-    ((sing, chain),) = sings
+    contraction = contract(m, ContractionPlan((("A1", "A2"),)))
+    assert contraction.rho == 1 + 4 - 2 == 3
+    ((sing, chain),) = contraction.singularities
     assert chain.entries == (2, 2)
     assert sing == CyclicSingularity(3, 2)
 
@@ -67,6 +67,13 @@ def test_chains_meeting_each_other_rejected():
     # A1 and A2 meet, so they are not two separate components
     with pytest.raises(ValueError, match="disjoint"):
         contract(m, ContractionPlan((("A1",), ("A2",))))
+
+
+def test_pullback_refuses_chains_that_meet():
+    # A1 meets A2, so the plan is not a contraction and A3 has no f*(K)
+    m = tower_model()
+    with pytest.raises(ValueError, match="not disjoint"):
+        pullback_k_dot(m, ContractionPlan((("A1",), ("A2",))), "A3")
 
 
 def test_pullback_for_disjoint_minus_one_curve():
@@ -116,11 +123,13 @@ def test_pullback_linear_in_the_curve_class():
 
 
 def test_negative_definiteness_guard():
-    # a 0-curve chain candidate is rejected before definiteness even matters,
-    # but a direct minor-sign violation cannot be built from honest blow-ups;
-    # check the guard via the leading-minor recurrence on a real chain
+    # contract does not check definiteness: a chain that extract_chain
+    # accepts has leading minors of alternating sign, as on this one
     m = tower_model()
-    contract(m, ContractionPlan((("A1", "A2"),)))  # passes the guard
+    contract(m, ContractionPlan((("A1", "A2"),)))
+    gram = [[m.intersect(a, b) for b in ("A1", "A2")] for a in ("A1", "A2")]
+    assert gram[0][0] < 0
+    assert gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0] > 0
 
 
 def test_classify_rank_one_two_chains():
@@ -131,8 +140,7 @@ def test_classify_rank_one_two_chains():
         at = [("L", 1)] if k == 1 else [(f"A{k - 1}", 1), ("L", 1)]
         m = blow(m, at, f"A{k}")
     assert m.self_int("L") == -3
-    sings, rho = contract(m, ContractionPlan((("A1", "A2", "A3"),)))
-    assert rho == 1 + 4 - 3
+    assert contract(m, ContractionPlan((("A1", "A2", "A3"),))).rho == 1 + 4 - 3
     report = classify(m, ContractionPlan((("A1", "A2", "A3"), ("L",))), "A4")
     assert report.rho == 1
     assert [(s.q, s.q1) for s, _ in report.singularities] == [(4, 3), (3, 1)]

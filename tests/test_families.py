@@ -7,7 +7,7 @@ import pytest
 
 from qhpp import verify
 
-from qhpp.contraction import ContractionPlan, KClass, classify, pullback_k_dot
+from qhpp.contraction import ContractionPlan, KClass, pullback_k_dot
 from qhpp.families import (
     FAMILIES,
     FAMILY_IDS,
@@ -21,7 +21,13 @@ from qhpp.families import (
     build_S3_variant,
     build_T,
 )
-from qhpp.hjcf import HJFraction, determinant, make_pattern, pattern_determinant
+from qhpp.hjcf import (
+    HJFraction,
+    determinant,
+    discrepancy_coefficients,
+    make_pattern,
+    pattern_determinant,
+)
 from qhpp.kollar import KollarParams, singularity_types, weights
 from qhpp.lattice import SurfaceModel
 
@@ -316,10 +322,25 @@ def test_self_check_raises_build_check_error():
     ],
 )
 def test_reused_contraction_matches_public_path(family, params):
+    # E . f*(K) = E.K + sum d_C (E.C) on dense classes, with d_C from the
+    # chains read off the dense self-intersections
     fb = build(family, params)
-    assert fb.classify() == classify(fb.model, fb.plan, fb.test_curve)
+    m = fb.model
+    curves = {nm: m.curve(nm) for nm in m.tracked}
+    coeff = {}
+    for chain in fb.plan.chains:
+        entries = tuple(-curves[nm].dot(curves[nm]) for nm in chain)
+        coeff.update(zip(chain, discrepancy_coefficients(HJFraction(entries))))
+
+    def reference(name):
+        e = curves[name]
+        return e.dot(m.canonical) + sum(
+            d * e.dot(curves[nm]) for nm, d in coeff.items()
+        )
+
     for nm in fb.non_contracted_curves():
-        assert fb.pullback_k_dot(nm) == pullback_k_dot(fb.model, fb.plan, nm)
+        assert fb.pullback_k_dot(nm) == reference(nm)
+    assert fb.classify().k_value == reference(fb.test_curve)
     with pytest.raises(ValueError, match="contracted"):
         fb.pullback_k_dot(fb.plan.chains[0][0])
 

@@ -12,6 +12,7 @@ from qhpp.hjcf import (
     discrepancy_coefficients,
     evaluate,
     expand,
+    expansion_length,
     make_pattern,
     normalize_type,
     partial_orders,
@@ -179,6 +180,33 @@ def test_expand_examples():
 def test_expand_rejects_bad_input(q, q1):
     with pytest.raises(ValueError):
         expand(q, q1)
+    with pytest.raises(ValueError):
+        expansion_length(q, q1)
+
+
+@st.composite
+def expansion_pairs(draw):
+    # near q1 = q the chain is mostly twos, the runs expansion_length skips
+    q = draw(st.integers(2, 5000))
+    q1 = q - draw(st.integers(1, min(q - 1, 12))) if draw(st.booleans()) else q
+    while q1 >= q or gcd(q, q1) != 1:
+        q1 = draw(st.integers(1, q - 1))
+    return q, q1
+
+
+@settings(max_examples=300)
+@given(expansion_pairs())
+@example((2, 1))
+@example((1001, 1000))
+@example((31, 19))
+def test_expansion_length_counts_expand(pair):
+    q, q1 = pair
+    assert expansion_length(q, q1) == len(expand(q, q1))
+
+
+def test_expansion_length_of_a_huge_chain():
+    assert expansion_length(10**4000 + 1, 10**4000) == 10**4000
+    assert expansion_length(10**4000 + 1, 2) == 2
 
 
 @given(coprime_pairs())
