@@ -23,7 +23,6 @@ from . import families, verify
 from .contraction import QhppReport
 from .hjcf import (
     HJFraction,
-    determinant,
     discrepancy_coefficients,
     evaluate,
     expand,
@@ -34,6 +33,9 @@ from .kollar import KollarParams, singularity_types, weights
 
 # The most entries `expand` prints; a longer chain is refused before it is built.
 MAX_EXPAND_LENGTH = 1_000_000
+
+# The most entries times order digits `eval` accepts, about the digits it prints.
+MAX_EVAL_DIGITS = 4_000_000
 
 
 class _UsageError(Exception):
@@ -79,12 +81,18 @@ def cmd_eval(args) -> int:
             f"the order of this chain has more than "
             f"{sys.get_int_max_str_digits()} digits"
         ) from None
+    size = len(w) * len(q)
+    if size > MAX_EVAL_DIGITS:
+        raise ValueError(
+            f"{len(w)} entries times {len(q)} order digits is {size}; "
+            f"the limit is {MAX_EVAL_DIGITS}"
+        )
     po = partial_orders(w)
     coeffs = discrepancy_coefficients(w)
     lines = [
         f"w = {w}",
         f"q/q1 = {q}/{value.denominator}",
-        f"|w| = {determinant(w)}",
+        f"|w| = {q}",
         f"u = ({', '.join(str(x) for x in po.u)})",
         f"v = ({', '.join(str(x) for x in po.v)})",
         f"discrepancies = ({', '.join(_frac(d) for d in coeffs)})",
@@ -267,7 +275,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run exhaustive invariant suites")
-    p.add_argument("suite", choices=("hjcf", "kollar", "families", "all"))
+    p.add_argument("suite", choices=(*verify.SUITE_NAMES, "all"))
     p.set_defaults(func=cmd_verify)
 
     return parser

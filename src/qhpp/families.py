@@ -129,25 +129,27 @@ def _blow(model: SurfaceModel, incidences, name: str) -> SurfaceModel:
     return model.blow_up(BlowupStep(tuple(incidences), name=name))
 
 
+def _tower(stem: str, count: int, last: str) -> list[str]:
+    """The names of a ``count``-step tower: ``stem1, ..., stem<count-1>, last``."""
+    return [f"{stem}{j}" for j in range(1, count)] + [last] if count else []
+
+
 def _run_tower(
-    model: SurfaceModel, start: str, along: str, count: int, stem: str, last: str
+    model: SurfaceModel, start: str, along: str, names: Sequence[str]
 ) -> tuple[SurfaceModel, list[str], str]:
-    """Blow up ``count`` times, first at ``start & along`` and then always at
+    """Blow up once per name, first at ``start & along`` and then always at
     the newest exceptional's meeting with ``along``.
 
     Returns ``(model, members, moving)`` where ``members`` are the curves
     pushed to self-intersection -2 (innermost first, starting with
     ``start``) and ``moving`` is the final (-1)-curve (``start`` itself when
-    ``count == 0``).
+    ``names`` is empty).
     """
-    if count == 0:
-        return model, [], start
-    names = [f"{stem}{j}" for j in range(1, count)] + [last]
     current = start
     for nm in names:
         model = _blow(model, [(current, 1), (along, 1)], nm)
         current = nm
-    return model, [start] + names[:-1], names[-1]
+    return model, [start, *names][:-1], current
 
 
 def _script_t(a1: int, a2: int, a3: int, a4: int):
@@ -159,14 +161,10 @@ def _script_t(a1: int, a2: int, a3: int, a4: int):
     for k in (1, 2, 3, 4):
         line = f"L{k}"
         model = _blow(model, [(prev[k], 1), (line, 1)], f"D{k}")
-        count = a[k - 1] - 2
-        names = [f"E{k}_{j}" for j in range(count)] + [f"E{k}"]
-        model = _blow(model, [(f"D{k}", 1), (line, 1)], names[0])
-        for j in range(1, len(names)):
-            model = _blow(model, [(names[j - 1], 1), (line, 1)], names[j])
-        run[k] = names[:-1]
-    upper = tuple(reversed(run[4])) + ("D4", "L3", "L1", "D2") + tuple(run[2])
-    lower = tuple(reversed(run[3])) + ("D3", "L2", "L4", "D1") + tuple(run[1])
+        names = [f"E{k}_{j}" for j in range(a[k - 1] - 2)] + [f"E{k}"]
+        model, run[k], _ = _run_tower(model, f"D{k}", line, names)
+    upper = tuple(reversed(run[4])) + ("L3", "L1") + tuple(run[2])
+    lower = tuple(reversed(run[3])) + ("L2", "L4") + tuple(run[1])
     return model, ContractionPlan((upper, lower)), "E1"
 
 
@@ -199,8 +197,8 @@ def _script_s1(b: int, c: int = 2, deep: str = "A"):
     m = _blow(m, [("C", 1), ("L3", 1), ("L4", 1)], "D1")
     m = _blow(m, [("D1", 1), ("C", 1), ("L4", 1)], "D2")
     m = _blow(m, [("D2", 1), ("D1", 1)], "D3")
-    m, tail, moving = _run_tower(m, "D3", "D2", b - 2, "G", "E")
-    m, members, _ = _run_tower(m, f"{deep}3", f"{deep}2", c - 2, "H", "F")
+    m, tail, moving = _run_tower(m, "D3", "D2", _tower("G", b - 2, "E"))
+    m, members, _ = _run_tower(m, f"{deep}3", f"{deep}2", _tower("H", c - 2, "F"))
     chain = tuple(reversed(members)) + _S1_SPINE + tuple(tail)
     return m, ContractionPlan((chain,)), moving
 
@@ -233,8 +231,8 @@ def _script_s3(b: int, c: int = 0, y: bool = False):
     m = _blow(m, [("V1", 1), ("C", 1), ("L3", 1)], "V2")
     if y:
         m = _blow(m, [("V2", 1), ("C", 1)], "J")
-    m, tail, moving = _run_tower(m, "U2", "C", b - 2, "G", "E")
-    m, members, _ = _run_tower(m, "Q3", "Q2", c, "H", "F")
+    m, tail, moving = _run_tower(m, "U2", "C", _tower("G", b - 2, "E"))
+    m, members, _ = _run_tower(m, "Q3", "Q2", _tower("H", c, "F"))
     middle = tuple(reversed(members)) + ("L1", "M1", "L3")
     big = ("Q1", "Q2", "C", "L2", "U1") + tuple(tail)
     chains = (middle + ("V2", "V1"), big) if y else (("V1",), middle, big)

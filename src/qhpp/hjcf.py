@@ -10,8 +10,8 @@ Determinants, values and entry bumps come from one backward pass of the
 continuant recurrence ``v_{j-1} = n_j v_j - v_{j+1}`` (from ``v_l = 1``,
 ``v_{l+1} = 0``), which keeps only the last two terms: ``v_0 = |w|`` and
 ``v_1 = |[n2, ..., nl]|``, so ``evaluate(w) = v_0/v_1``.  Only
-``partial_orders`` and ``discrepancy_coefficients``, which need every
-term, build the sequences.
+``partial_orders``, which ``discrepancy_coefficients`` reads, builds the
+whole sequences.
 
 Everything here is exact: python integers and ``fractions.Fraction``, no
 floating point.
@@ -221,13 +221,11 @@ def discrepancy_coefficients(w: HJFraction) -> tuple[Fraction, ...]:
     Each coefficient lies in [0, 1); all vanish exactly when every entry
     is 2 (a du Val chain).
     """
-    entries = w.entries
-    if not entries:
+    if not w.entries:
         raise ValueError("the empty chain has no discrepancy coefficients")
-    u = _u_sequence(entries)
-    v = _u_sequence(reversed(entries))[::-1]
-    q = u[-1]
-    return tuple(Fraction(q - u[j] - v[j], q) for j in range(1, len(entries) + 1))
+    po = partial_orders(w)
+    q = po.order
+    return tuple(Fraction(q - u - v, q) for u, v in zip(po.u[1:-1], po.v[1:-1]))
 
 
 @dataclass(frozen=True)
@@ -238,12 +236,7 @@ class CyclicSingularity:
     q1: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"order q must be >= 2, got {self.q}")
-        if not 1 <= self.q1 < self.q:
-            raise ValueError(f"need 1 <= q1 < q, got q1={self.q1} for q={self.q}")
-        if gcd(self.q, self.q1) != 1:
-            raise ValueError(f"q and q1 must be coprime: ({self.q}, {self.q1})")
+        _check_order(self.q, self.q1)
 
     def __str__(self) -> str:
         return f"1/{self.q}(1,{self.q1})"

@@ -22,8 +22,11 @@ Successive models share the rows of curves that do not pass through the
 center, so a step costs one pointer copy per tracked curve plus, for ``k``
 incident curves, ``O(k^2)`` table updates and a copy of their rows.
 Intersection numbers are table lookups, and extracting a chain walks the
-rows of its curves.  Dense :class:`CurveClass` values are rebuilt on demand
-from each curve's sparse multiplicities.
+rows of its curves.  ``tracked`` gives the names; ``curve(name)`` rebuilds
+a dense :class:`CurveClass` from the curve's sparse multiplicities.
+Exceptional curves are smooth rational, so a model stores only the few
+curves exempt from the genus check ``C.C + C.K = -2``: plane curves listed
+as singular and not yet declared smooth.
 """
 
 from __future__ import annotations
@@ -190,40 +193,19 @@ class _Row:
         self.meets = meets
 
 
-class _DenseClasses(Mapping):
-    """Read-only name -> :class:`CurveClass` view of a model; a class is
-    built from the sparse multiplicities when it is looked up."""
-
-    __slots__ = ("_model",)
-
-    def __init__(self, model: "SurfaceModel") -> None:
-        self._model = model
-
-    def __getitem__(self, name: str) -> CurveClass:
-        return self._model.curve(name)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._model._rows
-
-    def __iter__(self):
-        return iter(self._model._rows)
-
-    def __len__(self) -> int:
-        return len(self._model._rows)
-
-
 class SurfaceModel:
     """Immutable Picard-lattice model of a blown-up plane.
 
     ``SurfaceModel(blowup_count, tracked, smooth)`` takes dense classes
     (each with ``blowup_count`` multiplicities) and computes the
     intersection table from them once; :meth:`plane` and :meth:`blow_up`
-    build the table directly.  ``smooth`` lists the curves declared smooth
-    rational, for which ``C.C + C.K = -2`` is enforced through every
-    blow-up.
+    build the table directly.  ``C.C + C.K = -2`` is enforced through every
+    blow-up on each tracked curve except the singular ones: those
+    :meth:`plane` got as ``singular`` (for the dense constructor, those
+    missing from ``smooth``) that :meth:`declare_smooth` has not cleared.
     """
 
-    __slots__ = ("blowup_count", "smooth", "_rows")
+    __slots__ = ("blowup_count", "_singular", "_rows")
 
     def __init__(
         self,
@@ -247,16 +229,16 @@ class SurfaceModel:
                 if w:
                     rows[a].meets[b] = w
                     rows[b].meets[a] = w
-        object.__setattr__(self, "smooth", frozenset(smooth))
+        object.__setattr__(self, "_singular", frozenset(tracked) - set(smooth))
         object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def _from_rows(
-        cls, blowup_count: int, rows: dict[str, _Row], smooth: frozenset[str]
+        cls, blowup_count: int, rows: dict[str, _Row], singular: frozenset[str]
     ) -> "SurfaceModel":
         model = object.__new__(cls)
         object.__setattr__(model, "blowup_count", blowup_count)
-        object.__setattr__(model, "smooth", smooth)
+        object.__setattr__(model, "_singular", singular)
         object.__setattr__(model, "_rows", rows)
         return model
 
@@ -287,7 +269,7 @@ class SurfaceModel:
                 )
             meets = {other: d * e for other, e in degrees.items() if other != name}
             rows[name] = _Row(d, None, d * d, -3 * d, meets)
-        return cls._from_rows(0, rows, frozenset(degrees) - singular)
+        return cls._from_rows(0, rows, singular)
 
     @property
     def canonical(self) -> CurveClass:
@@ -295,9 +277,14 @@ class SurfaceModel:
         return CurveClass(-3, (-1,) * self.blowup_count)
 
     @property
-    def tracked(self) -> Mapping[str, CurveClass]:
-        """The tracked curves as dense classes, in tracking order."""
-        return _DenseClasses(self)
+    def tracked(self) -> tuple[str, ...]:
+        """The tracked curve names in tracking order (see :meth:`curve`)."""
+        return tuple(self._rows)
+
+    @property
+    def smooth(self) -> frozenset[str]:
+        """The tracked curves held to ``C.C + C.K = -2``."""
+        return frozenset(self._rows) - self._singular
 
     def _row(self, name: str) -> _Row:
         try:
@@ -343,7 +330,7 @@ class SurfaceModel:
         if g != -2:
             raise ValueError(f"{name!r} has C.C + C.K = {g}, not -2")
         return SurfaceModel._from_rows(
-            self.blowup_count, self._rows, self.smooth | {name}
+            self.blowup_count, self._rows, self._singular - {name}
         )
 
     def blow_up(self, step: BlowupStep) -> "SurfaceModel":
@@ -353,8 +340,8 @@ class SurfaceModel:
         ``C - m * E_new``; only the rows of the incident curves and of
         ``E_new`` change (see the module docstring).  Over-assigned
         incidences are rejected: no pairwise intersection of tracked curves
-        may go negative and no declared-smooth curve may fall below
-        ``C.C + C.K = -2``.
+        may go negative and no curve but the exempt singular ones may fall
+        below ``C.C + C.K = -2``.
         """
         n = self.blowup_count
         incident = dict(step.incidences)
@@ -395,9 +382,9 @@ class SurfaceModel:
                 )
         for a in incident:
             g = rows[a].self_int + rows[a].k_dot
-            if a in self.smooth and g < -2:
+            if a not in self._singular and g < -2:
                 raise ValueError(f"smooth curve {a!r} would get C.C + C.K = {g} < -2")
-        return SurfaceModel._from_rows(n + 1, rows, self.smooth | {name})
+        return SurfaceModel._from_rows(n + 1, rows, self._singular)
 
     def dual_graph(self, names: Sequence[str] | None = None) -> DualGraph:
         """Dual graph of the named curves (all tracked curves by default)."""

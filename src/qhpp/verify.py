@@ -34,8 +34,6 @@ from .kollar import KollarParams, singularity_types, weights
 
 __all__ = ["Check", "SUITE_NAMES", "run"]
 
-SUITE_NAMES = ("hjcf", "kollar", "families")
-
 
 @dataclass(frozen=True)
 class Check:
@@ -356,14 +354,13 @@ _SUITES = {
     "families": verify_families,
 }
 
+SUITE_NAMES = tuple(_SUITES)
+
 
 def run(suite: str) -> list[Check]:
-    """Run a named suite (``hjcf``, ``kollar``, ``families`` or ``all``)."""
+    """Run one suite of ``SUITE_NAMES``, or ``all`` of them in that order."""
     if suite == "all":
-        results: list[Check] = []
-        for name in SUITE_NAMES:
-            results.extend(_SUITES[name]())
-        return results
+        return [check for name in SUITE_NAMES for check in _SUITES[name]()]
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: all, {', '.join(SUITE_NAMES)}")
     return _SUITES[suite]()

@@ -82,6 +82,33 @@ def test_eval_refuses_an_order_too_long_to_print(capsys):
     assert err == "error: the order of this chain has more than 4300 digits\n"
 
 
+def test_eval_refuses_output_over_the_digit_limit(capsys, monkeypatch):
+    # 4500 entries of 3 have an order of 1881 digits, so eval would print
+    # about 8.5 million digits; the refusal comes before any order sequence
+    def unreachable(w):
+        raise AssertionError("partial_orders ran")
+
+    monkeypatch.setattr(cli, "partial_orders", unreachable)
+    code, out, err = run(capsys, "eval", *["3"] * 4500)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 4500 entries times 1881 order digits is 8464500; "
+        "the limit is 4000000\n"
+    )
+    assert cli.MAX_EVAL_DIGITS == 4_000_000
+
+
+def test_eval_digit_limit_boundary(capsys, monkeypatch):
+    # [3, 2, 2] has order 7: three entries times one digit
+    monkeypatch.setattr(cli, "MAX_EVAL_DIGITS", 3)
+    code, out, _ = run(capsys, "eval", "3", "2", "2")
+    assert code == 0 and "|w| = 7" in out
+    monkeypatch.setattr(cli, "MAX_EVAL_DIGITS", 2)
+    code, out, err = run(capsys, "eval", "3", "2", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: 3 entries times 1 order digits is 3; the limit is 2\n"
+
+
 def test_kollar_4445(capsys):
     code, out, _ = run(capsys, "kollar", "4", "4", "4", "5")
     assert code == 0
@@ -287,6 +314,7 @@ def test_main_repeated_in_one_process_matches_separate_runs(capsys):
         ["family", "nope", "3"],
         ["sweep", "S3", "2..6", "--format", "markdown"],
         ["eval", "3", "2", "2"],
+        ["verify", "kollar"],
     ]
     in_process = [run(capsys, *argv) for argv in calls]
     src = Path(__file__).resolve().parent.parent / "src"
@@ -300,4 +328,16 @@ def test_main_repeated_in_one_process_matches_separate_runs(capsys):
             timeout=60,
         )
         assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+        # invariants are not assert statements, so -O changes nothing
+        optimized = subprocess.run(
+            [sys.executable, "-O", "-m", "qhpp", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert got == (optimized.returncode, optimized.stdout, optimized.stderr), (
+            "-O",
+            argv,
+        )
     assert in_process[1][0] == 1 and in_process[1][2].startswith("error: ")

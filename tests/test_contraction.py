@@ -115,7 +115,7 @@ def test_pullback_linear_in_the_curve_class():
         tuple(x + y for x, y in zip(m.curve("A3").mults, m.curve("B1").mults)),
     )
     window = SurfaceModel(
-        m.blowup_count, {**dict(m.tracked), "A3+B1": total}, m.smooth
+        m.blowup_count, {**{nm: m.curve(nm) for nm in m.tracked}, "A3+B1": total}, m.smooth
     )
     assert pullback_k_dot(window, plan, "A3+B1") == pullback_k_dot(
         m, plan, "A3"

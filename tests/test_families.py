@@ -68,6 +68,10 @@ def test_T_chains_follow_patterns():
         got = [fb.model.extract_chain(c) for c in fb.plan.chains]
         assert got[0] == make_pattern(a4, a3, a1, a2)
         assert got[1] == make_pattern(a3, a2, a4, a1)
+    assert list(build_T(2, 3, 2, 4).model.tracked) == [
+        "L1", "L2", "L3", "L4", "D1", "E1", "D2", "E2_0", "E2",
+        "D3", "E3", "D4", "E4_0", "E4_1", "E4",
+    ]  # fmt: skip
 
 
 def test_T_classifications():

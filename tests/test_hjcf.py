@@ -355,6 +355,15 @@ def test_cyclic_singularity_validation():
     assert str(CyclicSingularity(7, 3)) == "1/7(1,3)"
 
 
+@pytest.mark.parametrize("q,q1", [(1, 1), (3, 0), (3, 5), (4, 2)])
+def test_cyclic_singularity_and_expand_share_one_order_check(q, q1):
+    with pytest.raises(ValueError) as by_type:
+        CyclicSingularity(q, q1)
+    with pytest.raises(ValueError) as by_expand:
+        expand(q, q1)
+    assert str(by_type.value) == str(by_expand.value)
+
+
 @given(coprime_pairs())
 def test_singularity_chain_roundtrip(pair):
     q, q1 = pair

@@ -63,6 +63,33 @@ def test_nodal_cubic_resolution():
     assert "C" in m.smooth
 
 
+def test_singular_curve_exempt_from_genus_guard_until_declared_smooth():
+    m = SurfaceModel.plane({"C": 3}, singular=("C",))
+    m = blow(m, [("C", 2)], "N")
+    assert m.genus_term("C") == -2
+    # still exempt, so a second double point is accepted
+    assert blow(m, [("C", 2)], "N2").genus_term("C") == -4
+    declared = m.declare_smooth("C")
+    with pytest.raises(ValueError, match="smooth curve 'C'"):
+        blow(declared, [("C", 2)], "N2")
+
+
+def test_smooth_is_tracked_minus_undeclared_singular():
+    m = SurfaceModel.plane({"C": 3, "L": 1}, singular=("C",))
+    assert m.smooth == {"L"}
+    m = blow(m, [("C", 2), ("L", 1)], "N")
+    assert m.smooth == {"L", "N"}
+    assert m.declare_smooth("C").smooth == frozenset(m.tracked) == {"C", "L", "N"}
+    classes = {"A": CurveClass(1, (0,)), "B": CurveClass(1, (1,))}
+    assert SurfaceModel(1, classes).smooth == frozenset()
+    hand = SurfaceModel(1, classes, smooth=("B",))
+    assert hand.tracked == ("A", "B")
+    assert hand.smooth == {"B"}
+    assert blow(hand, [("A", 2)], "N").genus_term("A") == -4
+    with pytest.raises(ValueError, match="smooth curve 'B'"):
+        blow(hand, [("B", 2)], "N")
+
+
 def test_declare_smooth_rejects_wrong_genus():
     m = SurfaceModel.plane({"C": 3}, singular=("C",))
     with pytest.raises(ValueError):
