@@ -9,7 +9,9 @@ the spec (:func:`check_params`), runs the script and fails loudly if the
 scripted lattice does not reproduce the template or does not land at Picard
 rank one.  The resulting :class:`FamilyBuild` holds the plan's
 :class:`~qhpp.contraction.Contraction`, made once, from which its class and
-every ``E . f*(K)`` are read.
+every ``E . f*(K)`` are read.  A script passes its parameter-dependent steps
+to one :meth:`~qhpp.lattice.SurfaceModel.blow_up` call; the S1 and S3
+scripts start from a parameter-free base model built once per process.
 
 Families:
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .contraction import Contraction, ContractionPlan, QhppReport, contract
@@ -47,8 +50,9 @@ __all__ = [
     "build_S3_variant",
 ]
 
-# A member's blow-up count grows with the sum of its parameters, and a build
-# costs about quadratically in its blow-ups.
+# A member's blow-up count grows with the sum of its parameters, and its
+# script is one blow_up call, about linear in the blow-ups; the limit bounds
+# the work and output of one member.
 MAX_PARAM_SUM = 2000
 
 # The most members one sweep may build; a box is counted before any build.
@@ -125,8 +129,8 @@ class FamilySpec:
     chains: Callable[..., tuple[HJFraction, ...]]
 
 
-def _blow(model: SurfaceModel, incidences, name: str) -> SurfaceModel:
-    return model.blow_up(BlowupStep(tuple(incidences), name=name))
+def _step(name: str, *incidences: tuple[str, int]) -> BlowupStep:
+    return BlowupStep(incidences, name=name)
 
 
 def _tower(stem: str, count: int, last: str) -> list[str]:
@@ -135,34 +139,37 @@ def _tower(stem: str, count: int, last: str) -> list[str]:
 
 
 def _run_tower(
-    model: SurfaceModel, start: str, along: str, names: Sequence[str]
-) -> tuple[SurfaceModel, list[str], str]:
-    """Blow up once per name, first at ``start & along`` and then always at
+    start: str, along: str, names: Sequence[str]
+) -> tuple[list[BlowupStep], list[str], str]:
+    """One blow-up per name, first at ``start & along`` and then always at
     the newest exceptional's meeting with ``along``.
 
-    Returns ``(model, members, moving)`` where ``members`` are the curves
-    pushed to self-intersection -2 (innermost first, starting with
+    Returns ``(steps, members, moving)`` where ``members`` are the curves
+    the steps push to self-intersection -2 (innermost first, starting with
     ``start``) and ``moving`` is the final (-1)-curve (``start`` itself when
     ``names`` is empty).
     """
+    steps = []
     current = start
     for nm in names:
-        model = _blow(model, [(current, 1), (along, 1)], nm)
+        steps.append(_step(nm, (current, 1), (along, 1)))
         current = nm
-    return model, [start, *names][:-1], current
+    return steps, [start, *names][:-1], current
 
 
 def _script_t(a1: int, a2: int, a3: int, a4: int):
     """The script of :func:`build_T`."""
     a = (a1, a2, a3, a4)
-    model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1})
     prev = {1: "L4", 2: "L1", 3: "L2", 4: "L3"}
+    steps: list[BlowupStep] = []
     run: dict[int, list[str]] = {}
     for k in (1, 2, 3, 4):
         line = f"L{k}"
-        model = _blow(model, [(prev[k], 1), (line, 1)], f"D{k}")
+        steps.append(_step(f"D{k}", (prev[k], 1), (line, 1)))
         names = [f"E{k}_{j}" for j in range(a[k - 1] - 2)] + [f"E{k}"]
-        model, run[k], _ = _run_tower(model, f"D{k}", line, names)
+        tower, run[k], _ = _run_tower(f"D{k}", line, names)
+        steps += tower
+    model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1}).blow_up(*steps)
     upper = tuple(reversed(run[4])) + ("L3", "L1") + tuple(run[2])
     lower = tuple(reversed(run[3])) + ("L2", "L4") + tuple(run[1])
     return model, ContractionPlan((upper, lower)), "E1"
@@ -171,36 +178,45 @@ def _script_t(a1: int, a2: int, a3: int, a4: int):
 _S1_SPINE = ("C", "D2", "L4", "A1", "A2", "L2", "B1", "B2", "L3", "D1")
 
 
-def _script_s1(b: int, c: int = 2, deep: str = "A"):
-    """Common script for S1 and its variants.
+@cache
+def _s1_base() -> SurfaceModel:
+    """The parameter-free start of every S1 script, built once.
 
     A nodal cubic C with lines L1 (through the node), L2, L3, L4 tangent to
     C in a closed tangent cycle; L1, L2 and L4 all pass through the first
     tangency point.  The node is blown up once, each tangency point three
     times (point, shared tangent direction, then once more: along C at the
-    first two, along the previous exceptional at the third).  The deep point
-    P sits where the last (-1)-curve D3 meets the b-curve D2; the variants
-    deepen P' (on A2, ``deep = "A"``) or P'' (on B2, ``deep = "B"``) the
-    same way, c - 2 times.
+    first two, along the previous exceptional at the third).
     """
     m = SurfaceModel.plane(
         {"C": 3, "L1": 1, "L2": 1, "L3": 1, "L4": 1}, singular=("C",)
     )
-    m = _blow(m, [("C", 2), ("L1", 1)], "N")
-    m = m.declare_smooth("C")
-    m = _blow(m, [("C", 1), ("L1", 1), ("L2", 1), ("L4", 1)], "A1")
-    m = _blow(m, [("A1", 1), ("C", 1), ("L2", 1)], "A2")
-    m = _blow(m, [("A2", 1), ("C", 1)], "A3")
-    m = _blow(m, [("C", 1), ("L2", 1), ("L3", 1)], "B1")
-    m = _blow(m, [("B1", 1), ("C", 1), ("L3", 1)], "B2")
-    m = _blow(m, [("B2", 1), ("C", 1)], "B3")
-    m = _blow(m, [("C", 1), ("L3", 1), ("L4", 1)], "D1")
-    m = _blow(m, [("D1", 1), ("C", 1), ("L4", 1)], "D2")
-    m = _blow(m, [("D2", 1), ("D1", 1)], "D3")
-    m, tail, moving = _run_tower(m, "D3", "D2", _tower("G", b - 2, "E"))
-    m, members, _ = _run_tower(m, f"{deep}3", f"{deep}2", _tower("H", c - 2, "F"))
+    m = m.blow_up(_step("N", ("C", 2), ("L1", 1))).declare_smooth("C")
+    return m.blow_up(
+        _step("A1", ("C", 1), ("L1", 1), ("L2", 1), ("L4", 1)),
+        _step("A2", ("A1", 1), ("C", 1), ("L2", 1)),
+        _step("A3", ("A2", 1), ("C", 1)),
+        _step("B1", ("C", 1), ("L2", 1), ("L3", 1)),
+        _step("B2", ("B1", 1), ("C", 1), ("L3", 1)),
+        _step("B3", ("B2", 1), ("C", 1)),
+        _step("D1", ("C", 1), ("L3", 1), ("L4", 1)),
+        _step("D2", ("D1", 1), ("C", 1), ("L4", 1)),
+        _step("D3", ("D2", 1), ("D1", 1)),
+    )
+
+
+def _script_s1(b: int, c: int = 2, deep: str = "A"):
+    """Common script for S1 and its variants, from :func:`_s1_base`.
+
+    The deep point P sits where the last (-1)-curve D3 meets the b-curve
+    D2; the variants deepen P' (on A2, ``deep = "A"``) or P'' (on B2,
+    ``deep = "B"``) the same way, c - 2 times.
+    """
+    steps, tail, moving = _run_tower("D3", "D2", _tower("G", b - 2, "E"))
+    more, members, _ = _run_tower(f"{deep}3", f"{deep}2", _tower("H", c - 2, "F"))
+    model = _s1_base().blow_up(*steps, *more)
     chain = tuple(reversed(members)) + _S1_SPINE + tuple(tail)
-    return m, ContractionPlan((chain,)), moving
+    return model, ContractionPlan((chain,)), moving
 
 
 def _s1_chains(b: int, c: int = 2, at: int = 4) -> tuple[HJFraction, ...]:
@@ -209,34 +225,43 @@ def _s1_chains(b: int, c: int = 2, at: int = 4) -> tuple[HJFraction, ...]:
     return (HJFraction((2,) * (c - 2) + tuple(mid) + (2,) * (b - 2)),)
 
 
-def _script_s3(b: int, c: int = 0, y: bool = False):
-    """Common script for S3 and its variants.
+@cache
+def _s3_base() -> SurfaceModel:
+    """The parameter-free start of every S3 script, built once.
 
     Three concurrent lines and a conic C tangent to L1 and L3; the
     concurrency point is blown up twice (second center on L2), the tangency
     points C&L1 and C&L3 are resolved (point, shared direction, and for L1 a
     third center on L1), and the transverse point C&L2 is blown up twice
-    along C.  The deep point P sits where the last (-1)-curve U2 meets C;
-    variant towers deepen P'' (on Q2) c times and, for Y, P' (V2 & C) once.
+    along C.
     """
-    m = SurfaceModel.plane({"C": 2, "L1": 1, "L2": 1, "L3": 1})
-    m = _blow(m, [("L1", 1), ("L2", 1), ("L3", 1)], "M1")
-    m = _blow(m, [("M1", 1), ("L2", 1)], "M2")
-    m = _blow(m, [("C", 1), ("L1", 1)], "Q1")
-    m = _blow(m, [("Q1", 1), ("C", 1), ("L1", 1)], "Q2")
-    m = _blow(m, [("Q2", 1), ("L1", 1)], "Q3")
-    m = _blow(m, [("C", 1), ("L2", 1)], "U1")
-    m = _blow(m, [("U1", 1), ("C", 1)], "U2")
-    m = _blow(m, [("C", 1), ("L3", 1)], "V1")
-    m = _blow(m, [("V1", 1), ("C", 1), ("L3", 1)], "V2")
-    if y:
-        m = _blow(m, [("V2", 1), ("C", 1)], "J")
-    m, tail, moving = _run_tower(m, "U2", "C", _tower("G", b - 2, "E"))
-    m, members, _ = _run_tower(m, "Q3", "Q2", _tower("H", c, "F"))
+    return SurfaceModel.plane({"C": 2, "L1": 1, "L2": 1, "L3": 1}).blow_up(
+        _step("M1", ("L1", 1), ("L2", 1), ("L3", 1)),
+        _step("M2", ("M1", 1), ("L2", 1)),
+        _step("Q1", ("C", 1), ("L1", 1)),
+        _step("Q2", ("Q1", 1), ("C", 1), ("L1", 1)),
+        _step("Q3", ("Q2", 1), ("L1", 1)),
+        _step("U1", ("C", 1), ("L2", 1)),
+        _step("U2", ("U1", 1), ("C", 1)),
+        _step("V1", ("C", 1), ("L3", 1)),
+        _step("V2", ("V1", 1), ("C", 1), ("L3", 1)),
+    )
+
+
+def _script_s3(b: int, c: int = 0, y: bool = False):
+    """Common script for S3 and its variants, from :func:`_s3_base`.
+
+    The deep point P sits where the last (-1)-curve U2 meets C; variant
+    towers deepen P'' (on Q2) c times and, for Y, P' (V2 & C) once.
+    """
+    steps = [_step("J", ("V2", 1), ("C", 1))] if y else []
+    tower, tail, moving = _run_tower("U2", "C", _tower("G", b - 2, "E"))
+    more, members, _ = _run_tower("Q3", "Q2", _tower("H", c, "F"))
+    model = _s3_base().blow_up(*steps, *tower, *more)
     middle = tuple(reversed(members)) + ("L1", "M1", "L3")
     big = ("Q1", "Q2", "C", "L2", "U1") + tuple(tail)
     chains = (middle + ("V2", "V1"), big) if y else (("V1",), middle, big)
-    return m, ContractionPlan(chains), moving
+    return model, ContractionPlan(chains), moving
 
 
 def _s3_chains(b: int, c: int = 0, y: bool = False) -> tuple[HJFraction, ...]:

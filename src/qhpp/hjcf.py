@@ -134,13 +134,18 @@ def expand(q: int, q1: int) -> HJFraction:
     result backwards expands q over the inverse of q1 mod q instead.
     """
     _check_order(q, q1)
-    entries = []
-    while True:
-        n = -(-q // q1)
-        entries.append(n)
-        q, q1 = q1, n * q1 - q
-        if q1 == 0:
-            break
+    entries: list[int] = []
+    while q1:
+        d = q - q1
+        if d <= q1:
+            # q1 < q <= 2 q1: a run of q1 // d twos, as in expansion_length
+            run = q1 // d
+            entries += (2,) * run
+            q, q1 = q - run * d, q1 - run * d
+        else:
+            n = -(-q // q1)
+            entries.append(n)
+            q, q1 = q1, n * q1 - q
     return HJFraction(tuple(entries))
 
 

@@ -18,15 +18,17 @@ pass with multiplicities ``m_C`` changes only these entries:
 * ``C_a'.C_b' = C_a.C_b - m_a m_b`` for each pair of incident curves;
 * ``E.C' = m``, ``E.E = -1`` and ``E.K = -1`` for the new exceptional ``E``.
 
-Successive models share the rows of curves that do not pass through the
-center, so a step costs one pointer copy per tracked curve plus, for ``k``
-incident curves, ``O(k^2)`` table updates and a copy of their rows.
-Intersection numbers are table lookups, and extracting a chain walks the
-rows of its curves.  ``tracked`` gives the names; ``curve(name)`` rebuilds
-a dense :class:`CurveClass` from the curve's sparse multiplicities.
-Exceptional curves are smooth rational, so a model stores only the few
-curves exempt from the genus check ``C.C + C.K = -2``: plane curves listed
-as singular and not yet declared smooth.
+:meth:`SurfaceModel.blow_up` takes a whole script of steps: it copies the
+name -> row table once per call, one pointer per tracked curve, and then
+each step costs, for ``k`` incident curves, ``O(k^2)`` table updates and a
+copy of their rows.  Models share the rows of curves that no step of the
+call passes through.  Intersection numbers are table lookups, and
+extracting a chain walks the rows of its curves.  ``tracked`` gives the
+names; ``curve(name)`` rebuilds a dense :class:`CurveClass` from the
+curve's sparse multiplicities.  Exceptional curves are smooth rational, so
+a model stores only the few curves exempt from the genus check
+``C.C + C.K = -2``: plane curves listed as singular and not yet declared
+smooth.
 """
 
 from __future__ import annotations
@@ -333,58 +335,69 @@ class SurfaceModel:
             self.blowup_count, self._rows, self._singular - {name}
         )
 
-    def blow_up(self, step: BlowupStep) -> "SurfaceModel":
-        """Blow up one point and return the new model.
+    def blow_up(self, *steps: BlowupStep) -> "SurfaceModel":
+        """Blow up one point per step, in order, and return the new model.
 
-        Each incident curve class C with multiplicity m becomes
-        ``C - m * E_new``; only the rows of the incident curves and of
-        ``E_new`` change (see the module docstring).  Over-assigned
-        incidences are rejected: no pairwise intersection of tracked curves
-        may go negative and no curve but the exempt singular ones may fall
-        below ``C.C + C.K = -2``.
+        For each step, every incident curve class C with multiplicity m
+        becomes ``C - m * E_new``; only the rows of the incident curves and
+        of ``E_new`` change (see the module docstring).  The table is copied
+        once per call, not once per step, so a whole script should be one
+        call.  Each step is checked before the next one runs: its curves
+        must be tracked, its name new, no pairwise intersection of tracked
+        curves may go negative and no curve but the exempt singular ones
+        may fall below ``C.C + C.K = -2``.  A refused step raises and
+        leaves this model unchanged.
         """
         n = self.blowup_count
-        incident = dict(step.incidences)
-        old = self._rows
-        missing = sorted(nm for nm in incident if nm not in old)
-        if missing:
-            raise KeyError(f"unknown curves in incidences: {missing}")
-        name = step.name if step.name is not None else f"E{n + 1}"
-        if name in old:
-            raise ValueError(f"curve name {name!r} is already tracked")
-        rows = dict(old)
-        for a, m in incident.items():
-            row = old[a]
-            meets = dict(row.meets)
-            for b, mb in incident.items():
-                if b != a:
-                    w = meets.pop(b, 0) - m * mb
-                    if w:
-                        meets[b] = w
-            meets[name] = m
-            rows[a] = _Row(
-                row.degree,
-                (n, m, row.mults),
-                row.self_int - m * m,
-                row.k_dot + m,
-                meets,
-            )
-        rows[name] = _Row(0, (n, -1, None), -1, -1, dict(incident))
-        for a in (*incident, name):
-            meets = rows[a].meets
-            negative = [b for b, w in meets.items() if w < 0]
-            if negative:
-                order = {b: i for i, b in enumerate(rows)}
-                b = min(negative, key=order.__getitem__)
-                raise ValueError(
-                    f"over-assigned incidences: {a!r}.{b!r} = {meets[b]} "
-                    f"after blowing up {name!r}"
+        singular = self._singular
+        rows = dict(self._rows)
+        for step in steps:
+            incident = dict(step.incidences)
+            missing = sorted(nm for nm in incident if nm not in rows)
+            if missing:
+                raise KeyError(f"unknown curves in incidences: {missing}")
+            name = step.name if step.name is not None else f"E{n + 1}"
+            if name in rows:
+                raise ValueError(f"curve name {name!r} is already tracked")
+            for a, m in incident.items():
+                row = rows[a]
+                meets = dict(row.meets)
+                for b, mb in incident.items():
+                    if b != a:
+                        w = meets.pop(b, 0) - m * mb
+                        if w:
+                            meets[b] = w
+                meets[name] = m
+                rows[a] = _Row(
+                    row.degree,
+                    (n, m, row.mults),
+                    row.self_int - m * m,
+                    row.k_dot + m,
+                    meets,
                 )
-        for a in incident:
-            g = rows[a].self_int + rows[a].k_dot
-            if a not in self._singular and g < -2:
-                raise ValueError(f"smooth curve {a!r} would get C.C + C.K = {g} < -2")
-        return SurfaceModel._from_rows(n + 1, rows, self._singular)
+            rows[name] = _Row(0, (n, -1, None), -1, -1, dict(incident))
+            # E_new's own row holds only multiplicities >= 1, so the rows of
+            # the incident curves are the only ones that can turn negative
+            for a in incident:
+                meets = rows[a].meets
+                if min(meets.values()) < 0:
+                    order = {b: i for i, b in enumerate(rows)}
+                    b = min(
+                        (b for b, w in meets.items() if w < 0),
+                        key=order.__getitem__,
+                    )
+                    raise ValueError(
+                        f"over-assigned incidences: {a!r}.{b!r} = {meets[b]} "
+                        f"after blowing up {name!r}"
+                    )
+            for a in incident:
+                g = rows[a].self_int + rows[a].k_dot
+                if a not in singular and g < -2:
+                    raise ValueError(
+                        f"smooth curve {a!r} would get C.C + C.K = {g} < -2"
+                    )
+            n += 1
+        return SurfaceModel._from_rows(n, rows, singular)
 
     def dual_graph(self, names: Sequence[str] | None = None) -> DualGraph:
         """Dual graph of the named curves (all tracked curves by default)."""

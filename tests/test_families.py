@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qhpp import verify
+from qhpp import families, verify
 
 from qhpp.contraction import ContractionPlan, KClass, pullback_k_dot
 from qhpp.families import (
@@ -290,6 +290,23 @@ def test_build_dispatcher():
     with pytest.raises(ValueError):
         build("S1", (2, 3))
     assert set(FAMILY_IDS) == {"T", "S1", "S1-Pp", "S1-Ppp", "S3", "V", "Y"}
+
+
+def test_shared_bases_are_built_once_and_never_change():
+    bases = (families._s1_base, families._s3_base)
+    for base in bases:
+        assert base() is base()
+    before = [(base().dual_graph().to_text(), base().tracked) for base in bases]
+    for family, params, base in [
+        ("S3", (5,), families._s3_base),
+        ("V", (3, 2), families._s3_base),
+        ("Y", (3, 2), families._s3_base),
+        ("S1-Pp", (3, 3), families._s1_base),
+        ("S1-Ppp", (3, 3), families._s1_base),
+    ]:
+        tracked = build(family, params).model.tracked
+        assert tracked[: len(base().tracked)] == base().tracked
+    assert [(base().dual_graph().to_text(), base().tracked) for base in bases] == before
 
 
 def test_self_check_raises_build_check_error():

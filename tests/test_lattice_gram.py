@@ -4,7 +4,9 @@ Random blow-up scripts on three lines, a conic and a nodal cubic are
 replayed on dense classes ``(d, [m_1, ..., m_n])`` with
 ``C.D = d d' - sum(m m')``; every number the model reports must match, and
 a step must be refused exactly when the reference finds a negative pairing
-or a smooth curve with ``C.C + C.K < -2``.
+or a smooth curve with ``C.C + C.K < -2``.  A whole script passed to one
+``blow_up`` call must give the same table as one call per step, or the same
+error at the same step.
 """
 
 from operator import mul
@@ -151,6 +153,91 @@ def test_table_matches_dense_reference(script, picks):
                 model.extract_chain(chain)
         else:
             assert model.extract_chain(chain).entries == want
+
+
+def table(model):
+    """Everything a model reports, curve by curve in tracking order."""
+    rows = [
+        (nm, model.curve(nm), model.self_int(nm), model.k_dot(nm), model.meets(nm))
+        for nm in model.tracked
+    ]
+    return model.blowup_count, model.smooth, rows
+
+
+# a step and how it is named: 0 reuses a tracked name (refused), 1-2 leave
+# the default E<n+1>, anything else gives a fresh name
+NAMED_STEP = st.tuples(STEP, st.integers(0, 7))
+NAMED_SCRIPT = st.integers(0, 30).flatmap(
+    lambda n: st.lists(NAMED_STEP, min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NAMED_SCRIPT, st.booleans())
+def test_one_call_matches_step_by_step(script, keep_refused):
+    # the steps follow the reference; refused ones are kept only on request,
+    # so a script either runs through or stops at its first refused step
+    plane = SurfaceModel.plane(PLANE, singular=SINGULAR)
+    classes = {nm: (d, []) for nm, d in PLANE.items()}
+    steps = []
+    for k, (point, naming) in enumerate(script):
+        incidences = incidences_of(classes, point)
+        if naming == 0:
+            name, want = list(classes)[k % len(classes)], None
+        else:
+            name = None if naming <= 2 else f"X{k}"
+            default = f"E{len(classes['C'][1]) + 1}"
+            want = ref_blow_up(classes, incidences, name or default)
+        if want is not None:
+            classes = want
+        if want is not None or keep_refused:
+            steps.append(BlowupStep(tuple(incidences.items()), name))
+
+    model, failure = plane, None
+    for k, step in enumerate(steps):
+        try:
+            model = model.blow_up(step)
+        except (KeyError, ValueError) as exc:
+            failure = k, exc
+            break
+    before = table(plane)
+    if failure is None:
+        assert table(plane.blow_up(*steps)) == table(model)
+        assert list(model.tracked) == list(classes)
+    else:
+        k, exc = failure
+        with pytest.raises(Exception) as info:
+            plane.blow_up(*steps)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        assert table(plane.blow_up(*steps[:k])) == table(model)
+    assert table(plane) == before
+
+
+def test_no_steps_gives_an_equal_table():
+    plane = SurfaceModel.plane(PLANE, singular=SINGULAR)
+    model = plane.blow_up(BlowupStep((("C", 2), ("L1", 1))))
+    for m in (plane, model, model.declare_smooth("C")):
+        assert table(m.blow_up()) == table(m)
+        assert m.blow_up().tracked == m.tracked
+
+
+def test_refused_step_leaves_the_receiver_unchanged():
+    model = SurfaceModel.plane({"L1": 1, "L2": 1, "Q": 2}).blow_up(
+        BlowupStep((("L1", 1), ("L2", 1)), "P"),
+        BlowupStep((("Q", 1), ("L1", 1))),
+    )
+    before = table(model)
+    steps = (
+        BlowupStep((("P", 1), ("L2", 1)), "R"),  # changes the rows of P and L2
+        BlowupStep((("Q", 1), ("L1", 1), ("E2", 1))),
+        BlowupStep((("L1", 1), ("L2", 1))),  # L1 and L2 no longer meet
+    )
+    with pytest.raises(ValueError, match="'L1'.'L2' = -1 after blowing up 'E5'"):
+        model.blow_up(*steps)
+    assert table(model) == before
+    assert table(model.blow_up(*steps[:2])) == table(
+        model.blow_up(steps[0]).blow_up(steps[1])
+    )
 
 
 def test_triangle_of_minus_two_curves_is_not_a_chain():
