@@ -218,7 +218,6 @@ def test_no_steps_gives_an_equal_table():
     model = plane.blow_up(BlowupStep((("C", 2), ("L1", 1))))
     for m in (plane, model, model.declare_smooth("C")):
         assert table(m.blow_up()) == table(m)
-        assert m.blow_up().tracked == m.tracked
 
 
 def test_refused_step_leaves_the_receiver_unchanged():
