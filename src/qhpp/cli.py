@@ -147,14 +147,15 @@ def _print_report(fb: families.FamilyBuild, report: QhppReport, approx: bool) ->
 def cmd_family(args) -> int:
     fb = families.build(args.family, args.params)
     report = fb.classify()
+    # written first, so that a run that cannot write it prints no report
+    if args.graph:
+        with open(args.graph, "w") as handle:
+            handle.write(fb.model.dual_graph().to_dot())
     if args.json:
         print(json.dumps(_report_record(fb.family, fb.params, report)))
     else:
         _print_report(fb, report, args.approx)
-    if args.graph:
-        with open(args.graph, "w") as handle:
-            handle.write(fb.model.dual_graph().to_dot())
-        if not args.json:
+        if args.graph:
             print(f"dual graph written to {args.graph}")
     return 0
 

@@ -8,8 +8,10 @@ whether the canonical class of the contracted surface is ample, numerically
 trivial or anti-ample.
 
 :func:`contract` returns a :class:`Contraction` holding the singularities,
-the rank and the discrepancy coefficient ``d_C`` of each contracted curve;
-``E . f*(K) = E.K + sum d_C (E.C)`` and the trichotomy are read from it.
+the rank and, per contracted curve C, the integer ``q d_C`` (q the order of
+C's chain, ``d_C`` its discrepancy coefficient).  ``E . f*(K) = E.K + sum
+d_C (E.C)`` is summed in integers per chain and divided by each order once;
+it and the trichotomy are read from the contraction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .hjcf import CyclicSingularity, HJFraction, discrepancy_coefficients
+from .hjcf import CyclicSingularity, HJFraction, partial_orders
 from .lattice import SurfaceModel
 
 __all__ = [
@@ -98,21 +100,30 @@ class Contraction:
     model: SurfaceModel
     singularities: tuple[tuple[CyclicSingularity, HJFraction], ...]
     rho: int
-    # contracted curve name -> its discrepancy coefficient d_C
-    discrepancy: Mapping[str, Fraction]
+    # contracted curve name -> (index of its chain, q * d_C), where q is the
+    # order of that chain, so that d_C = terms[C][1] / q
+    terms: Mapping[str, tuple[int, int]]
 
     def pullback_k_dot(self, name: str) -> Fraction:
         """``E . f*(K) = E.K + sum d_C (E.C)`` for the non-contracted curve E
         named ``name``, exactly; walks E's sparse row once.
 
-        For a (-1)-curve disjoint from all chains this is exactly -1.
+        The terms of one chain are summed in integers, ``sum q d_C (E.C)``,
+        and divided by the chain's order once.  For a (-1)-curve disjoint
+        from all chains this is exactly -1.
         """
-        if name in self.discrepancy:
+        terms = self.terms
+        if name in terms:
             raise ValueError(f"{name!r} is contracted by the plan")
+        sums: dict[int, int] = {}
+        for curve, hits in self.model.meets_view(name).items():
+            term = terms.get(curve)
+            if term is not None:
+                i, qd = term
+                sums[i] = sums.get(i, 0) + qd * hits
         total = Fraction(self.model.k_dot(name))
-        for curve, hits in self.model.meets(name).items():
-            if curve in self.discrepancy:
-                total += self.discrepancy[curve] * hits
+        for i, s in sums.items():
+            total += Fraction(s, self.singularities[i][0].q)
         return total
 
     def classify(self, test_curve: str) -> QhppReport:
@@ -156,20 +167,22 @@ def contract(model: SurfaceModel, plan: ContractionPlan) -> Contraction:
     meetings = [
         (i, where[b][0], k, where[b][1], a, b)
         for a, (i, k) in where.items()
-        for b in model.meets(a)
+        for b in model.meets_view(a)
         if b in where and where[b][0] > i
     ]
     if meetings:
         *_, a, b = min(meetings)
         raise ValueError(f"chains are not disjoint: {a!r} meets {b!r}")
-    discrepancy = {
-        nm: coeff
-        for chain, w in zip(chains, extracted)
-        for nm, coeff in zip(chain, discrepancy_coefficients(w))
-    }
+    terms: dict[str, tuple[int, int]] = {}
+    for i, (chain, w) in enumerate(zip(chains, extracted)):
+        po = partial_orders(w)
+        q = po.order
+        # q d_j = q - u_j - v_j, as in hjcf.discrepancy_coefficients
+        for nm, u, v in zip(chain, po.u[1:-1], po.v[1:-1]):
+            terms[nm] = (i, q - u - v)
     singularities = tuple((CyclicSingularity.from_chain(w), w) for w in extracted)
     rho = 1 + model.blowup_count - sum(len(chain) for chain in chains)
-    return Contraction(model, singularities, rho, MappingProxyType(discrepancy))
+    return Contraction(model, singularities, rho, MappingProxyType(terms))
 
 
 def pullback_k_dot(model: SurfaceModel, plan: ContractionPlan, name: str) -> Fraction:

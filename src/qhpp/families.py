@@ -12,6 +12,8 @@ rank one.  The resulting :class:`FamilyBuild` holds the plan's
 every ``E . f*(K)`` are read.  A script passes its parameter-dependent steps
 to one :meth:`~qhpp.lattice.SurfaceModel.blow_up` call; the S1 and S3
 scripts start from a parameter-free base model built once per process.
+Their towers, most of the steps of a large member, come from
+:meth:`~qhpp.lattice.BlowupStep.tower`, which checks a tower once.
 
 Families:
 
@@ -140,21 +142,18 @@ def _tower(stem: str, count: int, last: str) -> list[str]:
 
 def _run_tower(
     start: str, along: str, names: Sequence[str]
-) -> tuple[list[BlowupStep], list[str], str]:
+) -> tuple[tuple[BlowupStep, ...], list[str], str]:
     """One blow-up per name, first at ``start & along`` and then always at
-    the newest exceptional's meeting with ``along``.
+    the newest exceptional's meeting with ``along`` (see
+    :meth:`~qhpp.lattice.BlowupStep.tower`).
 
     Returns ``(steps, members, moving)`` where ``members`` are the curves
     the steps push to self-intersection -2 (innermost first, starting with
     ``start``) and ``moving`` is the final (-1)-curve (``start`` itself when
     ``names`` is empty).
     """
-    steps = []
-    current = start
-    for nm in names:
-        steps.append(_step(nm, (current, 1), (along, 1)))
-        current = nm
-    return steps, [start, *names][:-1], current
+    chain = [start, *names]
+    return BlowupStep.tower(start, along, names), chain[:-1], chain[-1]
 
 
 def _script_t(a1: int, a2: int, a3: int, a4: int):

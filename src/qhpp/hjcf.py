@@ -13,6 +13,10 @@ continuant recurrence ``v_{j-1} = n_j v_j - v_{j+1}`` (from ``v_l = 1``,
 ``partial_orders``, which ``discrepancy_coefficients`` reads, builds the
 whole sequences.
 
+The chains that ``expand``, ``reverse`` and ``make_pattern`` return are
+not checked again entry by entry: their entries are ints >= 2 by
+construction.
+
 Everything here is exact: python integers and ``fractions.Fraction``, no
 floating point.
 """
@@ -69,6 +73,15 @@ class HJFraction:
 
     def __str__(self) -> str:
         return str(list(self.entries))
+
+
+def _trusted(entries: tuple[int, ...]) -> HJFraction:
+    # an HJFraction whose entries are known to be ints >= 2: expand writes
+    # only such entries, reverse reads them from a checked chain, and
+    # make_pattern checks its arguments first
+    w = object.__new__(HJFraction)
+    object.__setattr__(w, "entries", entries)
+    return w
 
 
 @dataclass(frozen=True)
@@ -134,6 +147,7 @@ def expand(q: int, q1: int) -> HJFraction:
     result backwards expands q over the inverse of q1 mod q instead.
     """
     _check_order(q, q1)
+    q, q1 = int(q), int(q1)
     entries: list[int] = []
     while q1:
         d = q - q1
@@ -146,7 +160,7 @@ def expand(q: int, q1: int) -> HJFraction:
             n = -(-q // q1)
             entries.append(n)
             q, q1 = q1, n * q1 - q
-    return HJFraction(tuple(entries))
+    return _trusted(tuple(entries))
 
 
 def expansion_length(q: int, q1: int) -> int:
@@ -198,7 +212,7 @@ def bump_determinant(w: HJFraction, j: int) -> int:
 def make_pattern(a: int, b: int, c: int, d: int) -> HJFraction:
     """The chain ``[2 x (a-1), b, c, 2 x (d-1)]``; a = d = 1 gives [b, c]."""
     _check_pattern_args(a, b, c, d)
-    return HJFraction((2,) * (a - 1) + (b, c) + (2,) * (d - 1))
+    return _trusted((2,) * (a - 1) + (int(b), int(c)) + (2,) * (d - 1))
 
 
 def pattern_determinant(a: int, b: int, c: int, d: int) -> int:
@@ -216,7 +230,7 @@ def _check_pattern_args(a: int, b: int, c: int, d: int) -> None:
 
 def reverse(w: HJFraction) -> HJFraction:
     """The chain read from the other end; the determinant is unchanged."""
-    return HJFraction(tuple(reversed(w.entries)))
+    return _trusted(w.entries[::-1])
 
 
 def discrepancy_coefficients(w: HJFraction) -> tuple[Fraction, ...]:

@@ -23,7 +23,10 @@ name -> row table once per call, one pointer per tracked curve, and then
 each step costs, for ``k`` incident curves, ``O(k^2)`` table updates and a
 copy of their rows.  Models share the rows of curves that no step of the
 call passes through.  Intersection numbers are table lookups, and
-extracting a chain walks the rows of its curves.  ``tracked`` gives the
+extracting a chain walks the rows of its curves; ``meets_view`` reads a
+row without copying it.  ``BlowupStep.tower`` writes the steps of a tower
+(each blowing up the newest exceptional's meeting with one fixed curve)
+and checks the tower once instead of each step.  ``tracked`` gives the
 names; ``curve(name)`` rebuilds a dense :class:`CurveClass` from the
 curve's sparse multiplicities.  Exceptional curves are smooth rational, so
 a model stores only the few curves exempt from the genus check
@@ -34,6 +37,7 @@ smooth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .hjcf import HJFraction
@@ -94,6 +98,41 @@ class BlowupStep:
         for n, m in inc:
             if m < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {m} for {n!r}")
+
+    @classmethod
+    def tower(
+        cls, start: str, along: str, names: Sequence[str]
+    ) -> tuple["BlowupStep", ...]:
+        """One step per name: the first blows up ``start & along``, each
+        later one the previous step's exceptional curve's meeting with
+        ``along``, all with multiplicity 1.
+
+        Checked once for the whole tower, not per step: the names become
+        ``str``, and ``along`` must differ from ``start`` and from every
+        name, so that no step names one curve twice.
+        """
+        start, along = str(start), str(along)
+        names = [str(nm) for nm in names]
+        if along == start or along in names:
+            raise ValueError(
+                f"a tower along {along!r} may not start at it or name a step after it"
+            )
+        steps = []
+        current = start
+        for nm in names:
+            steps.append(cls._trusted(((current, 1), (along, 1)), nm))
+            current = nm
+        return tuple(steps)
+
+    @classmethod
+    def _trusted(
+        cls, incidences: tuple[tuple[str, int], ...], name: str
+    ) -> "BlowupStep":
+        # a step whose incidences the caller has already checked
+        step = object.__new__(cls)
+        object.__setattr__(step, "incidences", incidences)
+        object.__setattr__(step, "name", name)
+        return step
 
 
 @dataclass(frozen=True)
@@ -315,6 +354,11 @@ class SurfaceModel:
         tracked curves, as a new dict."""
         return dict(self._row(name).meets)
 
+    def meets_view(self, name: str) -> Mapping[str, int]:
+        """The same numbers as :meth:`meets`, as a read-only view of the
+        model's row instead of a copy."""
+        return MappingProxyType(self._row(name).meets)
+
     def self_int(self, name: str) -> int:
         return self._row(name).self_int
 
@@ -353,8 +397,8 @@ class SurfaceModel:
         rows = dict(self._rows)
         for step in steps:
             incident = dict(step.incidences)
-            missing = sorted(nm for nm in incident if nm not in rows)
-            if missing:
+            if not incident.keys() <= rows.keys():
+                missing = sorted(nm for nm in incident if nm not in rows)
                 raise KeyError(f"unknown curves in incidences: {missing}")
             name = step.name if step.name is not None else f"E{n + 1}"
             if name in rows:

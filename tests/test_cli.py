@@ -174,6 +174,27 @@ def test_family_graph_file(tmp_path, capsys):
     assert '"L1"' in dot and '"E4"' in dot
 
 
+def test_family_graph_text_output(tmp_path, capsys):
+    path = tmp_path / "t.dot"
+    code, out, err = run(capsys, "family", "S3", "6", "--graph", str(path))
+    plain = run(capsys, "family", "S3", "6")
+    assert (code, err) == (0, "")
+    assert out == plain[1] + f"dual graph written to {path}\n"
+    assert run(capsys, "family", "S3", "6", "--json", "--graph", str(path)) == run(
+        capsys, "family", "S3", "6", "--json"
+    )
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_family_unwritable_graph_prints_only_the_error(tmp_path, capsys, flags):
+    path = tmp_path / "missing" / "x.dot"
+    argv = ["family", "T", "2", "2", "2", "2", *flags, "--graph", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(
         capsys, "sweep", "T", "2..4", "2..4", "2..4", "2..4", "--format", "csv"

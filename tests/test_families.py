@@ -323,25 +323,26 @@ def test_self_check_raises_build_check_error():
         FamilyBuild(fb.family, fb.params, fb.model, meeting, fb.test_curve, wrong[:2])
 
 
-@pytest.mark.parametrize(
-    "family, params",
-    [
-        ("T", (2, 2, 2, 2)),
-        ("T", (5, 3, 7, 4)),
-        ("S1", (2,)),
-        ("S1", (9,)),
-        ("S1-Pp", (2, 2)),
-        ("S1-Pp", (6, 5)),
-        ("S1-Ppp", (2, 2)),
-        ("S1-Ppp", (5, 7)),
-        ("S3", (2,)),
-        ("S3", (11,)),
-        ("V", (2, 0)),
-        ("V", (7, 4)),
-        ("Y", (2, 0)),
-        ("Y", (6, 5)),
-    ],
-)
+# two members of each of the seven families
+MEMBERS = [
+    ("T", (2, 2, 2, 2)),
+    ("T", (5, 3, 7, 4)),
+    ("S1", (2,)),
+    ("S1", (9,)),
+    ("S1-Pp", (2, 2)),
+    ("S1-Pp", (6, 5)),
+    ("S1-Ppp", (2, 2)),
+    ("S1-Ppp", (5, 7)),
+    ("S3", (2,)),
+    ("S3", (11,)),
+    ("V", (2, 0)),
+    ("V", (7, 4)),
+    ("Y", (2, 0)),
+    ("Y", (6, 5)),
+]
+
+
+@pytest.mark.parametrize("family, params", MEMBERS)
 def test_reused_contraction_matches_public_path(family, params):
     # E . f*(K) = E.K + sum d_C (E.C) on dense classes, with d_C from the
     # chains read off the dense self-intersections
@@ -364,6 +365,23 @@ def test_reused_contraction_matches_public_path(family, params):
     assert fb.classify().k_value == reference(fb.test_curve)
     with pytest.raises(ValueError, match="contracted"):
         fb.pullback_k_dot(fb.plan.chains[0][0])
+
+
+def test_integer_pullback_matches_fraction_route():
+    # E . f*(K) = E.K + sum d_C (E.C), one Fraction per contracted curve
+    assert {family for family, _ in MEMBERS} == set(FAMILY_IDS)
+    for family, params in MEMBERS:
+        fb = build(family, params)
+        m = fb.model
+        coeff = {}
+        for chain, (_, w) in zip(fb.plan.chains, fb.contraction.singularities):
+            coeff.update(zip(chain, discrepancy_coefficients(w)))
+        for nm in fb.non_contracted_curves():
+            want = m.k_dot(nm) + sum(
+                coeff[c] * hits for c, hits in m.meets(nm).items() if c in coeff
+            )
+            got = fb.contraction.pullback_k_dot(nm)
+            assert type(got) is Fraction and got == want, (family, params, nm)
 
 
 def test_size_guard_refuses_before_any_blow_up(monkeypatch):

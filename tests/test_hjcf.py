@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
@@ -294,6 +295,30 @@ def test_reverse_inverts_q1(w):
     assert determinant(rev) == determinant(w)
     q = determinant(w)
     assert evaluate(w).denominator * evaluate(rev).denominator % q == 1
+
+
+# --- results built without the entry check ----------------------------------
+
+
+def same_as_checked(w):
+    """``w`` equals the chain the public constructor builds from its
+    entries, and every entry is an exact int."""
+    return w == HJFraction(w.entries) and all(type(n) is int for n in w.entries)
+
+
+def test_expand_and_reverse_equal_checked_chains():
+    for q in range(2, 301):
+        for q1 in range(1, q):
+            if gcd(q, q1) == 1:
+                w = expand(q, q1)
+                assert same_as_checked(w), (q, q1)
+                assert same_as_checked(reverse(w)), (q, q1)
+
+
+def test_make_pattern_equals_checked_chains():
+    for a, b, c, d in product(range(1, 9), range(2, 9), range(2, 9), range(1, 9)):
+        assert same_as_checked(make_pattern(a, b, c, d)), (a, b, c, d)
+        assert same_as_checked(reverse(make_pattern(a, b, c, d))), (a, b, c, d)
 
 
 # --- discrepancies -----------------------------------------------------------

@@ -121,6 +121,38 @@ def test_step_validation():
         blow(m2, [("L2", 1)], "X")  # name collision
 
 
+def test_tower_steps_equal_checked_steps():
+    steps = BlowupStep.tower("A", "L", ["B", "C", "D"])
+    assert steps == (
+        BlowupStep((("A", 1), ("L", 1)), name="B"),
+        BlowupStep((("B", 1), ("L", 1)), name="C"),
+        BlowupStep((("C", 1), ("L", 1)), name="D"),
+    )
+    assert BlowupStep.tower("A", "L", []) == ()
+    # names become str, as in the public constructor
+    assert BlowupStep.tower("A", "L", [7]) == (BlowupStep((("A", 1), ("L", 1)), "7"),)
+
+
+def test_tower_refuses_a_curve_named_twice():
+    with pytest.raises(ValueError):
+        BlowupStep.tower("L", "L", ["B"])
+    with pytest.raises(ValueError):
+        BlowupStep.tower("A", "L", ["B", "L", "C"])
+    with pytest.raises(ValueError):
+        BlowupStep.tower("A", "L", ["L"])
+
+
+def test_meets_view_is_a_read_only_view_of_meets():
+    m = blow(two_lines(), [("L1", 1)], "X")
+    view = m.meets_view("L1")
+    assert dict(view) == m.meets("L1") == {"L2": 1, "X": 1}
+    with pytest.raises(TypeError):
+        view["L2"] = 5
+    assert m.intersect("L1", "L2") == 1
+    with pytest.raises(KeyError):
+        m.meets_view("nope")
+
+
 def test_default_exceptional_names():
     m = blow(blow(two_lines(), [("L1", 1)]), [("L2", 1)])
     assert set(m.tracked) == {"L1", "L2", "E1", "E2"}
