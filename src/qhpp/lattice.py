@@ -120,19 +120,13 @@ class BlowupStep:
         steps = []
         current = start
         for nm in names:
-            steps.append(cls._trusted(((current, 1), (along, 1)), nm))
+            # checked above, so built without __post_init__
+            step = object.__new__(cls)
+            object.__setattr__(step, "incidences", ((current, 1), (along, 1)))
+            object.__setattr__(step, "name", nm)
+            steps.append(step)
             current = nm
         return tuple(steps)
-
-    @classmethod
-    def _trusted(
-        cls, incidences: tuple[tuple[str, int], ...], name: str
-    ) -> "BlowupStep":
-        # a step whose incidences the caller has already checked
-        step = object.__new__(cls)
-        object.__setattr__(step, "incidences", incidences)
-        object.__setattr__(step, "name", name)
-        return step
 
 
 @dataclass(frozen=True)
