@@ -2,7 +2,7 @@
 plane at the divisor-class level, chain contractions, and the canonical-class
 trichotomy of the resulting rank-one rational surfaces."""
 
-from .contraction import ContractionPlan, KClass, QhppReport, classify, contract, pullback_k_dot
+from .contraction import ContractionPlan, KClass, QhppReport, contract
 from .families import (
     FAMILY_IDS,
     BuildCheckError,
@@ -59,7 +59,6 @@ __all__ = [
     "build_S3_variant",
     "build_T",
     "bump_determinant",
-    "classify",
     "contract",
     "determinant",
     "discrepancy_coefficients",
@@ -69,7 +68,6 @@ __all__ = [
     "normalize_type",
     "partial_orders",
     "pattern_determinant",
-    "pullback_k_dot",
     "reverse",
     "singularity_types",
     "weights",

@@ -185,6 +185,8 @@ def cmd_sweep(args) -> int:
         raise _UsageError(
             f"the box has {members} members; the limit is {families.MAX_SWEEP_MEMBERS}"
         )
+    if args.output:  # fail on an unwritable path before any build, emptying nothing
+        open(args.output, "a").close()
     builds = (families.build(family, params) for params in product(*spans))
     rows = ((fb, fb.classify()) for fb in builds)
     if args.format == "json":

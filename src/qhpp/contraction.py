@@ -10,8 +10,8 @@ trivial or anti-ample.
 :func:`contract` returns a :class:`Contraction` holding the singularities,
 the rank and, per contracted curve C, the integer ``q d_C`` (q the order of
 C's chain, ``d_C`` its discrepancy coefficient).  ``E . f*(K) = E.K + sum
-d_C (E.C)`` is summed in integers per chain and divided by each order once;
-it and the trichotomy are read from the contraction.
+d_C (E.C)`` is summed in integers per chain and divided by each order once:
+ask ``contract(model, plan).pullback_k_dot(name)`` or ``.classify(test_curve)``.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "QhppReport",
     "Contraction",
     "contract",
-    "pullback_k_dot",
-    "classify",
 ]
 
 
@@ -58,10 +56,6 @@ class ContractionPlan:
         names = [nm for chain in chains for nm in chain]
         if len(set(names)) != len(names):
             raise ValueError("contraction chains share curves")
-
-    @property
-    def curve_names(self) -> frozenset[str]:
-        return frozenset(nm for chain in self.chains for nm in chain)
 
 
 @dataclass(frozen=True)
@@ -174,22 +168,13 @@ def contract(model: SurfaceModel, plan: ContractionPlan) -> Contraction:
         *_, a, b = min(meetings)
         raise ValueError(f"chains are not disjoint: {a!r} meets {b!r}")
     terms: dict[str, tuple[int, int]] = {}
+    singularities = []
     for i, (chain, w) in enumerate(zip(chains, extracted)):
         po = partial_orders(w)
         q = po.order
         # q d_j = q - u_j - v_j, as in hjcf.discrepancy_coefficients
         for nm, u, v in zip(chain, po.u[1:-1], po.v[1:-1]):
             terms[nm] = (i, q - u - v)
-    singularities = tuple((CyclicSingularity.from_chain(w), w) for w in extracted)
+        singularities.append((CyclicSingularity(q, po.v[1]), w))
     rho = 1 + model.blowup_count - sum(len(chain) for chain in chains)
-    return Contraction(model, singularities, rho, MappingProxyType(terms))
-
-
-def pullback_k_dot(model: SurfaceModel, plan: ContractionPlan, name: str) -> Fraction:
-    """``contract(model, plan).pullback_k_dot(name)``."""
-    return contract(model, plan).pullback_k_dot(name)
-
-
-def classify(model: SurfaceModel, plan: ContractionPlan, test_curve: str) -> QhppReport:
-    """``contract(model, plan).classify(test_curve)``."""
-    return contract(model, plan).classify(test_curve)
+    return Contraction(model, tuple(singularities), rho, MappingProxyType(terms))

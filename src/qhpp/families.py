@@ -112,7 +112,7 @@ class FamilyBuild:
 
     def non_contracted_curves(self) -> tuple[str, ...]:
         """All tracked curves surviving the contraction (test candidates)."""
-        used = self.plan.curve_names
+        used = self.contraction.terms
         return tuple(sorted(nm for nm in self.model.tracked if nm not in used))
 
 

@@ -75,10 +75,6 @@ class CurveClass:
             a * b for a, b in zip(self.mults, other.mults)
         )
 
-    @property
-    def self_intersection(self) -> int:
-        return self.dot(self)
-
 
 @dataclass(frozen=True)
 class BlowupStep:
@@ -438,17 +434,19 @@ class SurfaceModel:
         return SurfaceModel._from_rows(n, rows, singular)
 
     def dual_graph(self, names: Sequence[str] | None = None) -> DualGraph:
-        """Dual graph of the named curves (all tracked curves by default)."""
+        """Dual graph of the named curves (all tracked curves by default), read
+        from their sparse rows; edges are sorted by the positions of their ends."""
         if names is None:
             names = sorted(self._rows)
         vertices = tuple((nm, self.self_int(nm)) for nm in names)
-        edges = []
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                w = self.intersect(names[i], names[j])
-                if w > 0:
-                    edges.append((names[i], names[j], w))
-        return DualGraph(vertices, tuple(edges))
+        position = {nm: i for i, nm in enumerate(names)}
+        edges = sorted(
+            (position[a], position[b], a, b, w)
+            for a in position
+            for b, w in self._rows[a].meets.items()
+            if position.get(b, -1) > position[a] and w > 0
+        )
+        return DualGraph(vertices, tuple((a, b, w) for *_, a, b, w in edges))
 
     def extract_chain(self, names: Sequence[str]) -> HJFraction:
         """Read an ordered curve chain as ``[-C1.C1, ..., -Cl.Cl]``.

@@ -239,6 +239,15 @@ def test_sweep_output_file(tmp_path, capsys):
     assert path.read_text().count("\n") == 4
 
 
+def test_sweep_unwritable_output_fails_before_any_build(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(families, "build", no_build)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "sweep", "S3", "2..1999", "-o", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_sweep_bad_spec(capsys):
     assert run(capsys, "sweep", "S3", "5..2")[0] == 1
     assert run(capsys, "sweep", "S3", "2..4", "2..4")[0] == 1

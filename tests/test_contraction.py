@@ -1,13 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from qhpp.contraction import (
-    ContractionPlan,
-    KClass,
-    classify,
-    contract,
-    pullback_k_dot,
-)
+from qhpp.contraction import ContractionPlan, KClass, contract
 from qhpp.hjcf import CyclicSingularity
 from qhpp.lattice import BlowupStep, CurveClass, SurfaceModel
 
@@ -32,8 +26,7 @@ def tower_model():
 def test_plan_validation():
     with pytest.raises(ValueError):
         ContractionPlan((("A", "B"), ("B",)))
-    plan = ContractionPlan((("A", "B"), ("C",)))
-    assert plan.curve_names == {"A", "B", "C"}
+    ContractionPlan((("A", "B"), ("C",)))
 
 
 def test_empty_plan_on_plane():
@@ -42,7 +35,7 @@ def test_empty_plan_on_plane():
     assert contraction.singularities == ()
     assert contraction.rho == 1
     # the plane itself is classified by any curve: K is anti-ample
-    report = classify(m, ContractionPlan(()), "L")
+    report = contract(m, ContractionPlan(())).classify("L")
     assert report.k_class is KClass.ANTI_AMPLE
     assert report.k_value == Fraction(-3)
 
@@ -59,7 +52,7 @@ def test_contract_tower_chain():
 def test_classify_refuses_higher_rank():
     m = tower_model()
     with pytest.raises(ValueError, match="rank"):
-        classify(m, ContractionPlan((("A1", "A2"),)), "F")
+        contract(m, ContractionPlan((("A1", "A2"),))).classify("F")
 
 
 def test_chains_meeting_each_other_rejected():
@@ -73,27 +66,27 @@ def test_pullback_refuses_chains_that_meet():
     # A1 meets A2, so the plan is not a contraction and A3 has no f*(K)
     m = tower_model()
     with pytest.raises(ValueError, match="not disjoint"):
-        pullback_k_dot(m, ContractionPlan((("A1",), ("A2",))), "A3")
+        contract(m, ContractionPlan((("A1",), ("A2",)))).pullback_k_dot("A3")
 
 
 def test_pullback_for_disjoint_minus_one_curve():
     m = tower_model()
     plan = ContractionPlan((("A1", "A2"),))
-    assert pullback_k_dot(m, plan, "F") == Fraction(-1)
+    assert contract(m, plan).pullback_k_dot("F") == Fraction(-1)
 
 
 def test_pullback_rejects_contracted_curve():
     m = tower_model()
     plan = ContractionPlan((("A1", "A2"),))
     with pytest.raises(ValueError):
-        pullback_k_dot(m, plan, "A1")
+        contract(m, plan).pullback_k_dot("A1")
 
 
 def test_pullback_du_val_chain_equals_k_dot():
     # discrepancies vanish on a chain of (-2)-curves
     m = tower_model()
     plan = ContractionPlan((("A1", "A2"),))
-    assert pullback_k_dot(m, plan, "A3") == Fraction(m.k_dot("A3"))
+    assert contract(m, plan).pullback_k_dot("A3") == Fraction(m.k_dot("A3"))
 
 
 def test_pullback_with_nonzero_discrepancy():
@@ -103,7 +96,7 @@ def test_pullback_with_nonzero_discrepancy():
     plan = ContractionPlan((("L",),))
     # B1 meets L once; d = 1 - (1+1)/3 = 1/3, so B1.f*(K) = -1 + 1/3
     assert m.self_int("L") == -3
-    assert pullback_k_dot(m, plan, "B1") == Fraction(-2, 3)
+    assert contract(m, plan).pullback_k_dot("B1") == Fraction(-2, 3)
 
 
 def test_pullback_linear_in_the_curve_class():
@@ -117,9 +110,9 @@ def test_pullback_linear_in_the_curve_class():
     window = SurfaceModel(
         m.blowup_count, {**{nm: m.curve(nm) for nm in m.tracked}, "A3+B1": total}, m.smooth
     )
-    assert pullback_k_dot(window, plan, "A3+B1") == pullback_k_dot(
-        m, plan, "A3"
-    ) + pullback_k_dot(m, plan, "B1")
+    on_m = contract(m, plan)
+    want = on_m.pullback_k_dot("A3") + on_m.pullback_k_dot("B1")
+    assert contract(window, plan).pullback_k_dot("A3+B1") == want
 
 
 def test_negative_definiteness_guard():
@@ -141,7 +134,7 @@ def test_classify_rank_one_two_chains():
         m = blow(m, at, f"A{k}")
     assert m.self_int("L") == -3
     assert contract(m, ContractionPlan((("A1", "A2", "A3"),))).rho == 1 + 4 - 3
-    report = classify(m, ContractionPlan((("A1", "A2", "A3"), ("L",))), "A4")
+    report = contract(m, ContractionPlan((("A1", "A2", "A3"), ("L",)))).classify("A4")
     assert report.rho == 1
     assert [(s.q, s.q1) for s, _ in report.singularities] == [(4, 3), (3, 1)]
     # A4 meets the du Val chain (coefficient 0) and L (coefficient 1/3)

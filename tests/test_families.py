@@ -7,7 +7,7 @@ import pytest
 
 from qhpp import families, verify
 
-from qhpp.contraction import ContractionPlan, KClass, pullback_k_dot
+from qhpp.contraction import ContractionPlan, KClass, contract
 from qhpp.families import (
     FAMILIES,
     FAMILY_IDS,
@@ -273,10 +273,8 @@ def test_rank_accounting():
 
 def test_sign_independent_of_test_curve():
     for fb in all_sample_builds():
-        values = [
-            pullback_k_dot(fb.model, fb.plan, nm)
-            for nm in fb.non_contracted_curves()
-        ]
+        contraction = contract(fb.model, fb.plan)
+        values = [contraction.pullback_k_dot(nm) for nm in fb.non_contracted_curves()]
         assert len({sign(v) for v in values}) == 1, (fb.family, fb.params)
         assert fb.test_curve in fb.non_contracted_curves()
 

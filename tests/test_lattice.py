@@ -1,5 +1,6 @@
 import pytest
 
+from qhpp.families import build
 from qhpp.lattice import (
     BlowupStep,
     ChainShapeError,
@@ -259,6 +260,32 @@ def test_dual_graph_isomorphism():
     )
     assert not path.is_isomorphic_to(star)
     assert not star.is_isomorphic_to(path)
+
+
+def test_dual_graph_reads_rows_not_pairs(monkeypatch):
+    # hundreds of curves: the graph comes from the sparse rows, with the
+    # vertex order given and edges sorted by the position of their ends
+    m = build("S3", (300,)).model
+    assert len(m.tracked) > 300
+
+    def pairwise(names):
+        vertices = tuple((nm, m.self_int(nm)) for nm in names)
+        edges = tuple(
+            (a, b, m.intersect(a, b))
+            for i, a in enumerate(names)
+            for b in names[i + 1 :]
+            if m.intersect(a, b) > 0
+        )
+        return DualGraph(vertices, edges)
+
+    names = list(reversed(m.tracked))
+    want = pairwise(sorted(m.tracked)), pairwise(names)
+
+    def no_intersect(*args):
+        raise AssertionError("intersect called")
+
+    monkeypatch.setattr(SurfaceModel, "intersect", no_intersect)
+    assert (m.dual_graph(), m.dual_graph(names)) == want
 
 
 def test_unknown_names_raise():

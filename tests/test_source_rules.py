@@ -1,6 +1,7 @@
 """Rules the package source keeps."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import qhpp
@@ -33,3 +34,20 @@ def test_no_private_names_across_modules():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_every_exported_name_exists():
+    # a deletion must not leave a dangling name in an ``__all__``
+    modules = [qhpp] + [
+        importlib.import_module(f"qhpp.{path.stem}")
+        for path in SOURCES
+        if path.stem not in ("__init__", "__main__")
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert len(modules) == len(SOURCES) - 1
+    assert missing == []
