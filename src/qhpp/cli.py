@@ -31,7 +31,8 @@ from .hjcf import (
 )
 from .kollar import KollarParams, singularity_types, weights
 
-# The most entries `expand` prints; a longer chain is refused before it is built.
+# The most entries a chain printed by `expand` or `kollar` may have; a longer
+# chain is refused before it is built.
 MAX_EXPAND_LENGTH = 1_000_000
 
 # The most entries times order digits `eval` accepts, about the digits it prints.
@@ -113,6 +114,12 @@ def cmd_expand(args) -> int:
 
 def cmd_kollar(args) -> int:
     p = KollarParams(args.a1, args.a2, args.a3, args.a4)
+    # the two chains have a2 + a4 and a1 + a3 entries
+    length = max(p.a1 + p.a3, p.a2 + p.a4)
+    if length > MAX_EXPAND_LENGTH:
+        raise ValueError(
+            f"the longer chain has {length} entries; the limit is {MAX_EXPAND_LENGTH}"
+        )
     W = weights(p)
     print(f"a  = {p.as_tuple()}")
     print(f"w  = ({W.w1}, {W.w2}, {W.w3}, {W.w4})")

@@ -110,7 +110,7 @@ class Contraction:
         if name in terms:
             raise ValueError(f"{name!r} is contracted by the plan")
         sums: dict[int, int] = {}
-        for curve, hits in self.model.meets_view(name).items():
+        for curve, hits in self.model.meets(name).items():
             term = terms.get(curve)
             if term is not None:
                 i, qd = term
@@ -161,7 +161,7 @@ def contract(model: SurfaceModel, plan: ContractionPlan) -> Contraction:
     meetings = [
         (i, where[b][0], k, where[b][1], a, b)
         for a, (i, k) in where.items()
-        for b in model.meets_view(a)
+        for b in model.meets(a)
         if b in where and where[b][0] > i
     ]
     if meetings:

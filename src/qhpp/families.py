@@ -26,8 +26,8 @@ Families:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
 
@@ -71,7 +71,9 @@ class FamilyBuild:
     """A scripted surface model with its contraction plan and bookkeeping.
 
     The plan is contracted once, at construction, into ``contraction``;
-    :meth:`classify` and :meth:`pullback_k_dot` read it.
+    :meth:`classify` reads it with ``test_curve``, and
+    ``contraction.pullback_k_dot(name)`` gives ``E . f*(K)`` for any
+    non-contracted curve.
     """
 
     family: str
@@ -106,9 +108,6 @@ class FamilyBuild:
 
     def classify(self) -> QhppReport:
         return self.contraction.classify(self.test_curve)
-
-    def pullback_k_dot(self, name: str) -> Fraction:
-        return self.contraction.pullback_k_dot(name)
 
     def non_contracted_curves(self) -> tuple[str, ...]:
         """All tracked curves surviving the contraction (test candidates)."""
@@ -332,7 +331,7 @@ def check_params(family: str, params: Sequence[int]) -> FamilySpec:
 def build(family: str, params: Sequence[int]) -> FamilyBuild:
     """Build one member of a family in ``FAMILIES``; bad parameters (see
     :func:`check_params`) are refused before any blow-up."""
-    params = tuple(int(x) for x in params)
+    params = tuple(operator.index(x) for x in params)
     spec = check_params(family, params)
     model, plan, test_curve = spec.script(*params)
     return FamilyBuild(family, params, model, plan, test_curve, spec.chains(*params))

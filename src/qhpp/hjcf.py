@@ -23,6 +23,7 @@ floating point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -57,7 +58,7 @@ class HJFraction:
     entries: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        entries = tuple(map(int, self.entries))
+        entries = tuple(map(operator.index, self.entries))
         if entries and min(entries) < 2:
             raise ValueError(f"chain entries must all be >= 2: {list(entries)}")
         object.__setattr__(self, "entries", entries)
@@ -147,7 +148,7 @@ def expand(q: int, q1: int) -> HJFraction:
     result backwards expands q over the inverse of q1 mod q instead.
     """
     _check_order(q, q1)
-    q, q1 = int(q), int(q1)
+    q, q1 = operator.index(q), operator.index(q1)
     entries: list[int] = []
     while q1:
         d = q - q1
@@ -212,7 +213,7 @@ def bump_determinant(w: HJFraction, j: int) -> int:
 def make_pattern(a: int, b: int, c: int, d: int) -> HJFraction:
     """The chain ``[2 x (a-1), b, c, 2 x (d-1)]``; a = d = 1 gives [b, c]."""
     _check_pattern_args(a, b, c, d)
-    return _trusted((2,) * (a - 1) + (int(b), int(c)) + (2,) * (d - 1))
+    return _trusted((2,) * (a - 1) + (operator.index(b), operator.index(c)) + (2,) * (d - 1))
 
 
 def pattern_determinant(a: int, b: int, c: int, d: int) -> int:

@@ -23,8 +23,8 @@ name -> row table once per call, one pointer per tracked curve, and then
 each step costs, for ``k`` incident curves, ``O(k^2)`` table updates and a
 copy of their rows.  Models share the rows of curves that no step of the
 call passes through.  Intersection numbers are table lookups, and
-extracting a chain walks the rows of its curves; ``meets_view`` reads a
-row without copying it.  ``BlowupStep.tower`` writes the steps of a tower
+extracting a chain walks the rows of its curves; ``meets`` is a read-only
+view of a row, not a copy.  ``BlowupStep.tower`` writes the steps of a tower
 (each blowing up the newest exceptional's meeting with one fixed curve)
 and checks the tower once instead of each step.  ``tracked`` gives the
 names; ``curve(name)`` rebuilds a dense :class:`CurveClass` from the
@@ -36,6 +36,7 @@ smooth.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -63,7 +64,7 @@ class CurveClass:
     mults: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        object.__setattr__(self, "mults", tuple(map(operator.index, self.mults)))
 
     def dot(self, other: "CurveClass") -> int:
         if len(self.mults) != len(other.mults):
@@ -86,7 +87,7 @@ class BlowupStep:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        inc = tuple((str(n), int(m)) for n, m in self.incidences)
+        inc = tuple((str(n), operator.index(m)) for n, m in self.incidences)
         object.__setattr__(self, "incidences", inc)
         names = [n for n, _ in inc]
         if len(set(names)) != len(names):
@@ -339,14 +340,9 @@ class SurfaceModel:
             return row.self_int
         return row.meets.get(name_b, 0)
 
-    def meets(self, name: str) -> dict[str, int]:
+    def meets(self, name: str) -> Mapping[str, int]:
         """The nonzero intersection numbers of ``name`` with the other
-        tracked curves, as a new dict."""
-        return dict(self._row(name).meets)
-
-    def meets_view(self, name: str) -> Mapping[str, int]:
-        """The same numbers as :meth:`meets`, as a read-only view of the
-        model's row instead of a copy."""
+        tracked curves, as a read-only view of the model's row."""
         return MappingProxyType(self._row(name).meets)
 
     def self_int(self, name: str) -> int:

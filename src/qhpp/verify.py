@@ -288,7 +288,8 @@ def _sign(x: Fraction) -> int:
 
 
 def _sign_independent(fb: families.FamilyBuild) -> bool:
-    return len({_sign(fb.pullback_k_dot(nm)) for nm in fb.non_contracted_curves()}) == 1
+    signs = {_sign(fb.contraction.pullback_k_dot(nm)) for nm in fb.non_contracted_curves()}
+    return len(signs) == 1
 
 
 def _kollar_agrees(params: tuple[int, ...], sings: list) -> bool:

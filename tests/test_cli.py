@@ -118,6 +118,19 @@ def test_kollar_4445(capsys):
     assert "type 2: 1/205(1,158)" in out
 
 
+def test_kollar_refuses_a_chain_over_the_limit(capsys, monkeypatch):
+    # chains of a2 + a4 and a1 + a3 entries; (10**9, 2, 2, 3) is primitive
+    def no_types(p):
+        raise AssertionError("singularity_types called")
+
+    monkeypatch.setattr(cli, "singularity_types", no_types)
+    code, out, err = run(capsys, "kollar", "1000000000", "2", "2", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the longer chain has 1000000002 entries; the limit is 1000000\n"
+    )
+
+
 def test_kollar_2222_reports_wstar(capsys):
     code, out, _ = run(capsys, "kollar", "2", "2", "2", "2")
     assert code == 0

@@ -25,11 +25,12 @@ from qhpp.hjcf import (
     HJFraction,
     determinant,
     discrepancy_coefficients,
+    expand,
     make_pattern,
     pattern_determinant,
 )
 from qhpp.kollar import KollarParams, singularity_types, weights
-from qhpp.lattice import SurfaceModel
+from qhpp.lattice import BlowupStep, CurveClass, SurfaceModel
 
 
 def sign(x):
@@ -359,10 +360,10 @@ def test_reused_contraction_matches_public_path(family, params):
         )
 
     for nm in fb.non_contracted_curves():
-        assert fb.pullback_k_dot(nm) == reference(nm)
+        assert fb.contraction.pullback_k_dot(nm) == reference(nm)
     assert fb.classify().k_value == reference(fb.test_curve)
     with pytest.raises(ValueError, match="contracted"):
-        fb.pullback_k_dot(fb.plan.chains[0][0])
+        fb.contraction.pullback_k_dot(fb.plan.chains[0][0])
 
 
 def test_integer_pullback_matches_fraction_route():
@@ -380,6 +381,23 @@ def test_integer_pullback_matches_fraction_route():
             )
             got = fb.contraction.pullback_k_dot(nm)
             assert type(got) is Fraction and got == want, (family, params, nm)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build("S3", (5.9,)),
+        lambda: HJFraction((2.9, 3.5)),
+        lambda: CurveClass(1, (1.5,)),
+        lambda: BlowupStep((("L", 1.5),)),
+        lambda: expand(7.0, 3.0),
+        lambda: make_pattern(1, 2.5, 3, 1),
+    ],
+    ids=["build", "HJFraction", "CurveClass", "BlowupStep", "expand", "make_pattern"],
+)
+def test_non_integers_are_refused_not_truncated(make):
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_size_guard_refuses_before_any_blow_up(monkeypatch):

@@ -51,3 +51,15 @@ def test_every_exported_name_exists():
     ]
     assert len(modules) == len(SOURCES) - 1
     assert missing == []
+
+
+def test_package_exports_the_library_modules_all():
+    # one list of public names: ``qhpp`` re-exports each library module's
+    # ``__all__``, in this order, and nothing else
+    modules = [qhpp.hjcf, qhpp.kollar, qhpp.lattice, qhpp.contraction, qhpp.families]
+    joined = [name for module in modules for name in module.__all__]
+    assert qhpp.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qhpp, name) is getattr(module, name), name
