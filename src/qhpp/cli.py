@@ -265,7 +265,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_kollar)
 
     p = sub.add_parser("family", help="build one family member and classify it")
-    p.add_argument("family", choices=families.FAMILY_IDS)
+    p.add_argument("family", choices=families.FAMILIES)
     p.add_argument("params", nargs="+", type=int, metavar="P")
     p.add_argument("--json", action="store_true", help="emit a JSON record")
     p.add_argument("--graph", metavar="PATH", help="write the dual graph as DOT")

@@ -51,6 +51,9 @@ class ContractionPlan:
     chains: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
+        for chain in self.chains:
+            if isinstance(chain, str):
+                raise TypeError(f"a chain is a sequence of curve names, got {chain!r}")
         chains = tuple(tuple(str(nm) for nm in chain) for chain in self.chains)
         object.__setattr__(self, "chains", chains)
         names = [nm for chain in chains for nm in chain]

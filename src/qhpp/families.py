@@ -2,9 +2,10 @@
 
 Every fact about a family lives in one registry, ``FAMILIES``: per family
 id, a :class:`FamilySpec` holds the parameter names, the least value of each
-parameter, a private script that blows up the plane and names the curves to
-contract and the test curve, and the template of the chain strings the
-script is expected to produce.  :func:`build` checks the parameters against
+parameter and a private script.  The script blows up the plane, names the
+curves to contract and the test curve, and returns the template of the
+chain strings those curves are expected to contract to, each entry written
+beside the curves it describes.  :func:`build` checks the parameters against
 the spec (:func:`check_params`), runs the script and fails loudly if the
 scripted lattice does not reproduce the template or does not land at Picard
 rank one.  The resulting :class:`FamilyBuild` holds the plan's
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from .contraction import Contraction, ContractionPlan, QhppReport, contract
@@ -40,7 +41,6 @@ __all__ = [
     "FAMILIES",
     "FamilyBuild",
     "FamilySpec",
-    "FAMILY_IDS",
     "MAX_PARAM_SUM",
     "MAX_SWEEP_MEMBERS",
     "build",
@@ -117,17 +117,19 @@ class FamilyBuild:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One family: its parameters, blow-up script and chain template.
+    """One family: its parameters and its blow-up script.
 
-    ``script(*params)`` returns ``(model, plan, test_curve)`` and
-    ``chains(*params)`` the chain strings the plan must contract to (either
-    orientation).  Both assume parameters that :func:`check_params` passed.
+    ``script(*params)`` returns ``(model, plan, test_curve, expected_chains)``
+    in :class:`FamilyBuild` field order; ``expected_chains`` is the template
+    of the chain strings the plan must contract to (either orientation).  It
+    assumes parameters that :func:`check_params` passed.
     """
 
     names: tuple[str, ...]
     least: tuple[int, ...]
-    script: Callable[..., tuple[SurfaceModel, ContractionPlan, str]]
-    chains: Callable[..., tuple[HJFraction, ...]]
+    script: Callable[
+        ..., tuple[SurfaceModel, ContractionPlan, str, tuple[HJFraction, ...]]
+    ]
 
 
 def _step(name: str, *incidences: tuple[str, int]) -> BlowupStep:
@@ -170,7 +172,8 @@ def _script_t(a1: int, a2: int, a3: int, a4: int):
     model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1}).blow_up(*steps)
     upper = tuple(reversed(run[4])) + ("L3", "L1") + tuple(run[2])
     lower = tuple(reversed(run[3])) + ("L2", "L4") + tuple(run[1])
-    return model, ContractionPlan((upper, lower)), "E1"
+    expected = make_pattern(a4, a3, a1, a2), make_pattern(a3, a2, a4, a1)
+    return model, ContractionPlan((upper, lower)), "E1", expected
 
 
 _S1_SPINE = ("C", "D2", "L4", "A1", "A2", "L2", "B1", "B2", "L3", "D1")
@@ -208,19 +211,17 @@ def _script_s1(b: int, c: int = 2, deep: str = "A"):
 
     The deep point P sits where the last (-1)-curve D3 meets the b-curve
     D2; the variants deepen P' (on A2, ``deep = "A"``) or P'' (on B2,
-    ``deep = "B"``) the same way, c - 2 times.
+    ``deep = "B"``) the same way, c - 2 times, so the template holds c
+    where ``{deep}2`` sits on the spine.
     """
     steps, tail, moving = _run_tower("D3", "D2", _tower("G", b - 2, "E"))
     more, members, _ = _run_tower(f"{deep}3", f"{deep}2", _tower("H", c - 2, "F"))
     model = _s1_base().blow_up(*steps, *more)
     chain = tuple(reversed(members)) + _S1_SPINE + tuple(tail)
-    return model, ContractionPlan((chain,)), moving
-
-
-def _s1_chains(b: int, c: int = 2, at: int = 4) -> tuple[HJFraction, ...]:
-    mid = [3, b, 2, 2, 2, 2, 2, 2, 2, 3]
-    mid[at] = c
-    return (HJFraction((2,) * (c - 2) + tuple(mid) + (2,) * (b - 2)),)
+    spine = [3, b, 2, 2, 2, 2, 2, 2, 2, 3]
+    spine[_S1_SPINE.index(f"{deep}2")] = c
+    expected = (HJFraction((2,) * (c - 2) + tuple(spine) + (2,) * (b - 2)),)
+    return model, ContractionPlan((chain,)), moving, expected
 
 
 @cache
@@ -257,53 +258,27 @@ def _script_s3(b: int, c: int = 0, y: bool = False):
     more, members, _ = _run_tower("Q3", "Q2", _tower("H", c, "F"))
     model = _s3_base().blow_up(*steps, *tower, *more)
     middle = tuple(reversed(members)) + ("L1", "M1", "L3")
+    middle_w = (2,) * c + (3, 2, 2)
     big = ("Q1", "Q2", "C", "L2", "U1") + tuple(tail)
-    chains = (middle + ("V2", "V1"), big) if y else (("V1",), middle, big)
-    return model, ContractionPlan(chains), moving
-
-
-def _s3_chains(b: int, c: int = 0, y: bool = False) -> tuple[HJFraction, ...]:
-    middle = (2,) * c + (3, 2, 2)
-    big = HJFraction((2, 2 + c, b + 1 if y else b) + (2,) * b)
+    big_w = HJFraction((2, 2 + c, b + 1 if y else b) + (2,) * b)
     if y:
-        return HJFraction(middle + (2, 2)), big
-    return HJFraction((2,)), HJFraction(middle), big
+        chains = middle + ("V2", "V1"), big
+        expected = HJFraction(middle_w + (2, 2)), big_w
+    else:
+        chains = ("V1",), middle, big
+        expected = HJFraction((2,)), HJFraction(middle_w), big_w
+    return model, ContractionPlan(chains), moving, expected
 
 
 FAMILIES: dict[str, FamilySpec] = {
-    "T": FamilySpec(
-        ("a1", "a2", "a3", "a4"),
-        (2, 2, 2, 2),
-        _script_t,
-        lambda a1, a2, a3, a4: (
-            make_pattern(a4, a3, a1, a2),
-            make_pattern(a3, a2, a4, a1),
-        ),
-    ),
-    "S1": FamilySpec(("b",), (2,), _script_s1, _s1_chains),
-    "S1-Pp": FamilySpec(
-        ("b", "c"),
-        (2, 2),
-        lambda b, c: _script_s1(b, c, deep="A"),
-        lambda b, c: _s1_chains(b, c, at=4),
-    ),
-    "S1-Ppp": FamilySpec(
-        ("b", "c"),
-        (2, 2),
-        lambda b, c: _script_s1(b, c, deep="B"),
-        lambda b, c: _s1_chains(b, c, at=7),
-    ),
-    "S3": FamilySpec(("b",), (2,), _script_s3, _s3_chains),
-    "V": FamilySpec(("b", "c"), (2, 0), _script_s3, _s3_chains),
-    "Y": FamilySpec(
-        ("b", "c"),
-        (2, 0),
-        lambda b, c: _script_s3(b, c, y=True),
-        lambda b, c: _s3_chains(b, c, y=True),
-    ),
+    "T": FamilySpec(("a1", "a2", "a3", "a4"), (2, 2, 2, 2), _script_t),
+    "S1": FamilySpec(("b",), (2,), _script_s1),
+    "S1-Pp": FamilySpec(("b", "c"), (2, 2), partial(_script_s1, deep="A")),
+    "S1-Ppp": FamilySpec(("b", "c"), (2, 2), partial(_script_s1, deep="B")),
+    "S3": FamilySpec(("b",), (2,), _script_s3),
+    "V": FamilySpec(("b", "c"), (2, 0), _script_s3),
+    "Y": FamilySpec(("b", "c"), (2, 0), partial(_script_s3, y=True)),
 }
-
-FAMILY_IDS = tuple(FAMILIES)
 
 
 def check_params(family: str, params: Sequence[int]) -> FamilySpec:
@@ -311,7 +286,7 @@ def check_params(family: str, params: Sequence[int]) -> FamilySpec:
     ``MAX_PARAM_SUM`` and each parameter's least value; return the spec."""
     spec = FAMILIES.get(family)
     if spec is None:
-        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILY_IDS)}")
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     if len(params) != len(spec.names):
         raise ValueError(
             f"family {family} takes {len(spec.names)} parameter(s) "
@@ -333,8 +308,7 @@ def build(family: str, params: Sequence[int]) -> FamilyBuild:
     :func:`check_params`) are refused before any blow-up."""
     params = tuple(operator.index(x) for x in params)
     spec = check_params(family, params)
-    model, plan, test_curve = spec.script(*params)
-    return FamilyBuild(family, params, model, plan, test_curve, spec.chains(*params))
+    return FamilyBuild(family, params, *spec.script(*params))
 
 
 def build_T(a1: int, a2: int, a3: int, a4: int) -> FamilyBuild:

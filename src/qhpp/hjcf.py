@@ -212,21 +212,24 @@ def bump_determinant(w: HJFraction, j: int) -> int:
 
 def make_pattern(a: int, b: int, c: int, d: int) -> HJFraction:
     """The chain ``[2 x (a-1), b, c, 2 x (d-1)]``; a = d = 1 gives [b, c]."""
-    _check_pattern_args(a, b, c, d)
-    return _trusted((2,) * (a - 1) + (operator.index(b), operator.index(c)) + (2,) * (d - 1))
+    a, b, c, d = _pattern_args(a, b, c, d)
+    return _trusted((2,) * (a - 1) + (b, c) + (2,) * (d - 1))
 
 
 def pattern_determinant(a: int, b: int, c: int, d: int) -> int:
     """Closed form for ``determinant(make_pattern(a, b, c, d))``."""
-    _check_pattern_args(a, b, c, d)
+    a, b, c, d = _pattern_args(a, b, c, d)
     return a * b * c * d - a * b * d - a * c * d + a * b + c * d - a - d + 1
 
 
-def _check_pattern_args(a: int, b: int, c: int, d: int) -> None:
+def _pattern_args(*args: int) -> tuple[int, int, int, int]:
+    """The pattern parameters ``a, b, c, d`` as checked ints."""
+    a, b, c, d = map(operator.index, args)
     if a < 1 or d < 1:
         raise ValueError(f"run parameters must be >= 1, got a={a}, d={d}")
     if b < 2 or c < 2:
         raise ValueError(f"middle entries must be >= 2, got b={b}, c={c}")
+    return a, b, c, d
 
 
 def reverse(w: HJFraction) -> HJFraction:

@@ -64,6 +64,7 @@ class CurveClass:
     mults: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", operator.index(self.degree))
         object.__setattr__(self, "mults", tuple(map(operator.index, self.mults)))
 
     def dot(self, other: "CurveClass") -> int:
@@ -290,6 +291,7 @@ class SurfaceModel:
         unknown = singular - set(degrees)
         if unknown:
             raise ValueError(f"singular names not among curves: {sorted(unknown)}")
+        degrees = {name: operator.index(d) for name, d in degrees.items()}
         rows: dict[str, _Row] = {}
         for name, d in degrees.items():
             if d < 1:

@@ -289,9 +289,12 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
 
 def test_failed_build_check_exits_two(capsys, monkeypatch):
     spec = families.FAMILIES["S3"]
-    wrong = dataclasses.replace(
-        spec, chains=lambda b: (HJFraction((2,)),) * len(spec.chains(b))
-    )
+
+    def wrong_script(b):
+        *built, chains = spec.script(b)
+        return (*built, (HJFraction((2,)),) * len(chains))
+
+    wrong = dataclasses.replace(spec, script=wrong_script)
     monkeypatch.setitem(families.FAMILIES, "S3", wrong)
     code, out, err = run(capsys, "family", "S3", "6")
     assert code == 2
@@ -339,7 +342,7 @@ def test_sweep_member_count_guard_boundary(capsys, monkeypatch):
     assert err == "error: the box has 6 members; the limit is 4\n"
 
 
-@pytest.mark.parametrize("family", families.FAMILY_IDS)
+@pytest.mark.parametrize("family", families.FAMILIES)
 def test_domain_error_exits_one(capsys, monkeypatch, family):
     monkeypatch.setattr(SurfaceModel, "blow_up", no_build)
     spec = families.FAMILIES[family]

@@ -27,6 +27,11 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ContractionPlan((("A", "B"), ("B",)))
     ContractionPlan((("A", "B"), ("C",)))
+    # a string is one name, not a chain of one-letter curves
+    with pytest.raises(TypeError, match="'L1'"):
+        ContractionPlan(("L1", "M2"))
+    with pytest.raises(TypeError, match="'AB'"):
+        ContractionPlan(("AB",))
 
 
 def test_empty_plan_on_plane():

@@ -1,7 +1,5 @@
-import re
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import pytest
 
@@ -10,7 +8,6 @@ from qhpp import families, verify
 from qhpp.contraction import ContractionPlan, KClass, contract
 from qhpp.families import (
     FAMILIES,
-    FAMILY_IDS,
     MAX_PARAM_SUM,
     BuildCheckError,
     FamilyBuild,
@@ -288,7 +285,7 @@ def test_build_dispatcher():
         build("nope", (2,))
     with pytest.raises(ValueError):
         build("S1", (2, 3))
-    assert set(FAMILY_IDS) == {"T", "S1", "S1-Pp", "S1-Ppp", "S3", "V", "Y"}
+    assert set(FAMILIES) == {"T", "S1", "S1-Pp", "S1-Ppp", "S3", "V", "Y"}
 
 
 def test_shared_bases_are_built_once_and_never_change():
@@ -368,7 +365,7 @@ def test_reused_contraction_matches_public_path(family, params):
 
 def test_integer_pullback_matches_fraction_route():
     # E . f*(K) = E.K + sum d_C (E.C), one Fraction per contracted curve
-    assert {family for family, _ in MEMBERS} == set(FAMILY_IDS)
+    assert {family for family, _ in MEMBERS} == set(FAMILIES)
     for family, params in MEMBERS:
         fb = build(family, params)
         m = fb.model
@@ -392,8 +389,21 @@ def test_integer_pullback_matches_fraction_route():
         lambda: BlowupStep((("L", 1.5),)),
         lambda: expand(7.0, 3.0),
         lambda: make_pattern(1, 2.5, 3, 1),
+        lambda: SurfaceModel.plane({"L": 1.5}),
+        lambda: CurveClass(1.5, (1,)),
+        lambda: pattern_determinant(2.5, 3, 3, 2),
     ],
-    ids=["build", "HJFraction", "CurveClass", "BlowupStep", "expand", "make_pattern"],
+    ids=[
+        "build",
+        "HJFraction",
+        "CurveClass",
+        "BlowupStep",
+        "expand",
+        "make_pattern",
+        "plane",
+        "CurveClass_degree",
+        "pattern_determinant",
+    ],
 )
 def test_non_integers_are_refused_not_truncated(make):
     with pytest.raises(TypeError):
@@ -457,24 +467,3 @@ def test_verify_families_per_check():
         ]
     ]
 
-
-def test_readme_family_table_matches_registry():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    table = readme.split("### Families", 1)[1].split("\n\n", 2)[1]
-    rows = [
-        [cell.strip() for cell in line.strip("|").split("|")]
-        for line in table.splitlines()[2:]
-    ]
-    ids = [row[0].strip("`") for row in rows]
-    assert sorted(ids) == sorted(FAMILY_IDS)
-    assert len(ids) == len(set(ids))
-    for row in rows:
-        spec = FAMILIES[row[0].strip("`")]
-        names, domain = re.fullmatch(r"`([^`]*)` \((.*)\)", row[1]).groups()
-        assert tuple(names.split()) == spec.names
-        if len(set(spec.least)) == 1:
-            assert domain == f">= {spec.least[0]}"
-        else:
-            assert domain == ", ".join(
-                f"{n} >= {lo}" for n, lo in zip(spec.names, spec.least)
-            )

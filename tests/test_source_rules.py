@@ -2,9 +2,12 @@
 
 import ast
 import importlib
+import re
+from itertools import product
 from pathlib import Path
 
 import qhpp
+from qhpp.families import FAMILIES, build
 
 SOURCES = sorted(Path(qhpp.__file__).parent.glob("*.py"))
 
@@ -63,3 +66,39 @@ def test_package_exports_the_library_modules_all():
     for module in modules:
         for name in module.__all__:
             assert getattr(qhpp, name) is getattr(module, name), name
+
+
+def test_readme_family_table_matches_registry():
+    # the README families table states each family's parameters, their
+    # least values and its chain templates; each must match the registry
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Families", 1)[1].split("\n\n", 2)[1]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in table.splitlines()[2:]
+    ]
+    ids = [row[0].strip("`") for row in rows]
+    assert sorted(ids) == sorted(FAMILIES)
+    assert len(ids) == len(set(ids))
+    for id_cell, params_cell, chains_cell in rows:
+        family = id_cell.strip("`")
+        spec = FAMILIES[family]
+        names, domain = re.fullmatch(r"`([^`]*)` \((.*)\)", params_cell).groups()
+        assert tuple(names.split()) == spec.names
+        if len(set(spec.least)) == 1:
+            assert domain == f">= {spec.least[0]}"
+        else:
+            assert domain == ", ".join(
+                f"{n} >= {lo}" for n, lo in zip(spec.names, spec.least)
+            )
+        # ``2 x E`` is a run of E twos: ``*[2]*E`` in Python
+        templates = [
+            re.sub(r"2 x (\([^)]*\)|\w+)", r"*[2]*\1", t)
+            for t in re.findall(r"`(\[[^`]*\])`", chains_cell)
+        ]
+        assert templates
+        for params in product(*(range(lo, lo + 4) for lo in spec.least)):
+            env = dict(zip(spec.names, params))
+            want = [tuple(eval(t, {}, env)) for t in templates]
+            got = [w.entries for w in build(family, params).expected_chains]
+            assert got == want, (family, params)
