@@ -74,14 +74,19 @@ def _report_record(family: str, params: Sequence[int], report: QhppReport) -> di
 
 def cmd_eval(args) -> int:
     w = HJFraction(tuple(args.entries))
+    limit = sys.get_int_max_str_digits()  # 0: no int-to-str limit
+    if limit:
+        # the prefix orders rise strictly to q: refuse at the first one
+        # past the limit, before any arithmetic on full-size orders
+        bound, u, u_prev = 10**limit, 1, 0
+        for n in w:
+            u, u_prev = n * u - u_prev, u
+            if u >= bound:
+                raise ValueError(
+                    f"the order of this chain has more than {limit} digits"
+                )
     value = evaluate(w)
-    try:
-        q = str(value.numerator)  # every later value has at most as many digits
-    except ValueError:  # beyond the interpreter's int-to-str limit
-        raise ValueError(
-            f"the order of this chain has more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
+    q = str(value.numerator)  # every later value has at most as many digits
     size = len(w) * len(q)
     if size > MAX_EVAL_DIGITS:
         raise ValueError(

@@ -11,12 +11,18 @@ is exactly the class-level data.
 
 A model keeps an integer intersection table with one sparse row per
 tracked curve: ``C.C``, ``C.K`` and the nonzero pairings ``C.D`` with the
-other tracked curves.  Blowing up a point through which the curves ``C``
-pass with multiplicities ``m_C`` changes only these entries:
+other tracked curves.  Models are made only by :meth:`SurfaceModel.plane`
+and :meth:`SurfaceModel.blow_up`, so every model keeps one invariant: two
+distinct tracked curves never pair negatively, and a row stores only the
+positive pairings.  Blowing up a point through which the curves ``C`` pass
+with multiplicities ``m_C`` changes only these entries:
 
 * ``C'.C' = C.C - m^2`` and ``C'.K' = C.K + m`` for each incident curve;
 * ``C_a'.C_b' = C_a.C_b - m_a m_b`` for each pair of incident curves;
 * ``E.C' = m``, ``E.E = -1`` and ``E.K = -1`` for the new exceptional ``E``.
+
+The second kind is the only entry that can turn negative, so a step checks
+the pairings it writes and nothing else.
 
 :meth:`SurfaceModel.blow_up` takes a whole script of steps: it copies the
 name -> row table once per call, one pointer per tracked curve, and then
@@ -130,7 +136,7 @@ class BlowupStep:
 @dataclass(frozen=True)
 class DualGraph:
     """Vertices labeled by self-intersection, edges weighted by pairwise
-    intersection numbers (only weights > 0 are kept)."""
+    intersection numbers; curves with no edge do not meet."""
 
     vertices: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str, int], ...]
@@ -229,41 +235,14 @@ class _Row:
 class SurfaceModel:
     """Immutable Picard-lattice model of a blown-up plane.
 
-    ``SurfaceModel(blowup_count, tracked, smooth)`` takes dense classes
-    (each with ``blowup_count`` multiplicities) and computes the
-    intersection table from them once; :meth:`plane` and :meth:`blow_up`
-    build the table directly.  ``C.C + C.K = -2`` is enforced through every
-    blow-up on each tracked curve except the singular ones: those
-    :meth:`plane` got as ``singular`` (for the dense constructor, those
-    missing from ``smooth``) that :meth:`declare_smooth` has not cleared.
+    Made by :meth:`plane` and :meth:`blow_up`, which build the intersection
+    table directly; there is no constructor from dense classes.
+    ``C.C + C.K = -2`` is enforced through every blow-up on each tracked
+    curve except the singular ones: those :meth:`plane` got as ``singular``
+    that :meth:`declare_smooth` has not cleared.
     """
 
     __slots__ = ("blowup_count", "_singular", "_rows")
-
-    def __init__(
-        self,
-        blowup_count: int,
-        tracked: Mapping[str, CurveClass],
-        smooth: Iterable[str] = frozenset(),
-    ) -> None:
-        object.__setattr__(self, "blowup_count", blowup_count)
-        canonical = self.canonical
-        rows: dict[str, _Row] = {}
-        for name, c in tracked.items():
-            mults = None
-            for i, m in enumerate(c.mults):
-                if m:
-                    mults = (i, m, mults)
-            rows[name] = _Row(c.degree, mults, c.dot(c), c.dot(canonical), {})
-        names = list(tracked)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                w = tracked[a].dot(tracked[b])
-                if w:
-                    rows[a].meets[b] = w
-                    rows[b].meets[a] = w
-        object.__setattr__(self, "_singular", frozenset(tracked) - set(smooth))
-        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def _from_rows(
@@ -375,10 +354,10 @@ class SurfaceModel:
         of ``E_new`` change (see the module docstring).  The table is copied
         once per call, not once per step, so a whole script should be one
         call.  Each step is checked before the next one runs: its curves
-        must be tracked, its name new, no pairwise intersection of tracked
-        curves may go negative and no curve but the exempt singular ones
-        may fall below ``C.C + C.K = -2``.  A refused step raises and
-        leaves this model unchanged.
+        must be tracked, its name new, no pairing of two incident curves
+        may go negative (no other pairing changes) and no curve but the
+        exempt singular ones may fall below ``C.C + C.K = -2``.  A refused
+        step raises and leaves this model unchanged.
         """
         n = self.blowup_count
         singular = self._singular
@@ -397,8 +376,22 @@ class SurfaceModel:
                 for b, mb in incident.items():
                     if b != a:
                         w = meets.pop(b, 0) - m * mb
-                        if w:
+                        if w > 0:
                             meets[b] = w
+                        elif w:
+                            # stored pairings are positive, so only computed
+                            # ones go negative; name a's first in tracking order
+                            b = next(
+                                c
+                                for c in rows
+                                if c != a
+                                and row.meets.get(c, 0) < m * incident.get(c, 0)
+                            )
+                            w = row.meets.get(b, 0) - m * incident[b]
+                            raise ValueError(
+                                f"over-assigned incidences: {a!r}.{b!r} = {w} "
+                                f"after blowing up {name!r}"
+                            )
                 meets[name] = m
                 rows[a] = _Row(
                     row.degree,
@@ -408,20 +401,6 @@ class SurfaceModel:
                     meets,
                 )
             rows[name] = _Row(0, (n, -1, None), -1, -1, dict(incident))
-            # E_new's own row holds only multiplicities >= 1, so the rows of
-            # the incident curves are the only ones that can turn negative
-            for a in incident:
-                meets = rows[a].meets
-                if min(meets.values()) < 0:
-                    order = {b: i for i, b in enumerate(rows)}
-                    b = min(
-                        (b for b, w in meets.items() if w < 0),
-                        key=order.__getitem__,
-                    )
-                    raise ValueError(
-                        f"over-assigned incidences: {a!r}.{b!r} = {meets[b]} "
-                        f"after blowing up {name!r}"
-                    )
             for a in incident:
                 g = rows[a].self_int + rows[a].k_dot
                 if a not in singular and g < -2:
@@ -442,7 +421,7 @@ class SurfaceModel:
             (position[a], position[b], a, b, w)
             for a in position
             for b, w in self._rows[a].meets.items()
-            if position.get(b, -1) > position[a] and w > 0
+            if position.get(b, -1) > position[a]
         )
         return DualGraph(vertices, tuple((a, b, w) for *_, a, b, w in edges))
 

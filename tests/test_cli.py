@@ -82,6 +82,23 @@ def test_eval_refuses_an_order_too_long_to_print(capsys):
     assert err == "error: the order of this chain has more than 4300 digits\n"
 
 
+def test_eval_refuses_a_long_order_before_evaluating(capsys, monkeypatch):
+    # 100 entries of 100 digits give an order of about 10000 digits; the
+    # refusal comes from the prefix orders, before the full-size fraction
+    def unreachable(w):
+        raise AssertionError("evaluate ran")
+
+    monkeypatch.setattr(cli, "evaluate", unreachable)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "eval", *["9" * 100] * 100)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, out) == (1, "")
+    assert err == "error: the order of this chain has more than 4300 digits\n"
+
+
 def test_eval_refuses_output_over_the_digit_limit(capsys, monkeypatch):
     # 4500 entries of 3 have an order of 1881 digits, so eval would print
     # about 8.5 million digits; the refusal comes before any order sequence

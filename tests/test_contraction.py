@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from qhpp.contraction import ContractionPlan, KClass, contract
 from qhpp.hjcf import CyclicSingularity
-from qhpp.lattice import BlowupStep, CurveClass, SurfaceModel
+from qhpp.lattice import BlowupStep, SurfaceModel
 
 
 def blow(model, incidences, name=None):
@@ -102,22 +102,6 @@ def test_pullback_with_nonzero_discrepancy():
     # B1 meets L once; d = 1 - (1+1)/3 = 1/3, so B1.f*(K) = -1 + 1/3
     assert m.self_int("L") == -3
     assert contract(m, plan).pullback_k_dot("B1") == Fraction(-2, 3)
-
-
-def test_pullback_linear_in_the_curve_class():
-    m = tower_model()
-    m = blow(m, [("L", 1)], "B1")
-    plan = ContractionPlan((("L",),))
-    total = CurveClass(
-        m.curve("A3").degree + m.curve("B1").degree,
-        tuple(x + y for x, y in zip(m.curve("A3").mults, m.curve("B1").mults)),
-    )
-    window = SurfaceModel(
-        m.blowup_count, {**{nm: m.curve(nm) for nm in m.tracked}, "A3+B1": total}, m.smooth
-    )
-    on_m = contract(m, plan)
-    want = on_m.pullback_k_dot("A3") + on_m.pullback_k_dot("B1")
-    assert contract(window, plan).pullback_k_dot("A3+B1") == want
 
 
 def test_negative_definiteness_guard():

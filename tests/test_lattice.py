@@ -37,6 +37,12 @@ def test_plane_validation():
     SurfaceModel.plane({"C": 3}, singular=("C",))
 
 
+def test_no_constructor_from_dense_classes():
+    # plane and blow_up are the only ways to make a model
+    with pytest.raises(TypeError):
+        SurfaceModel(1, {"L": CurveClass(1, (1,)), "E1": CurveClass(0, (-1,))})
+
+
 def test_blow_up_point_on_line():
     m = blow(SurfaceModel.plane({"L": 1}), [("L", 1)], "E1")
     assert m.blowup_count == 1
@@ -81,9 +87,7 @@ def test_smooth_is_tracked_minus_undeclared_singular():
     m = blow(m, [("C", 2), ("L", 1)], "N")
     assert m.smooth == {"L", "N"}
     assert m.declare_smooth("C").smooth == frozenset(m.tracked) == {"C", "L", "N"}
-    classes = {"A": CurveClass(1, (0,)), "B": CurveClass(1, (1,))}
-    assert SurfaceModel(1, classes).smooth == frozenset()
-    hand = SurfaceModel(1, classes, smooth=("B",))
+    hand = SurfaceModel.plane({"A": 1, "B": 1}, singular=("A",))
     assert hand.tracked == ("A", "B")
     assert hand.smooth == {"B"}
     assert blow(hand, [("A", 2)], "N").genus_term("A") == -4

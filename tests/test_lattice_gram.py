@@ -135,6 +135,7 @@ def test_table_matches_dense_reference(script, picks):
     assert model.blowup_count == len(classes[names[0]][1])
     for a in names:
         c = classes[a]
+        assert all(w > 0 for w in model.meets(a).values())
         assert model.curve(a) == CurveClass(c[0], tuple(c[1]))
         assert model.self_int(a) == dot(c, c)
         assert model.k_dot(a) == k_dot(c)
@@ -248,27 +249,3 @@ def test_triangle_of_minus_two_curves_is_not_a_chain():
     assert model.extract_chain(["L1", "L2"]).entries == (2, 2)
     with pytest.raises(ChainShapeError, match="'L1'.'L3' = 1, expected 0"):
         model.extract_chain(["L1", "L2", "L3"])
-
-
-# --- hand-built models -----------------------------------------------------
-
-
-def test_hand_built_table_from_dense_classes():
-    plain = SurfaceModel.plane({"L": 1}).blow_up(BlowupStep((("L", 1),), "E1"))
-    hand = SurfaceModel(1, {"L": CurveClass(1, (1,)), "E1": CurveClass(0, (-1,))})
-    for a in ("L", "E1"):
-        assert hand.curve(a) == plain.curve(a)
-        assert hand.k_dot(a) == plain.k_dot(a)
-        for b in ("L", "E1"):
-            assert hand.intersect(a, b) == plain.intersect(a, b)
-    assert hand.smooth == frozenset()
-
-
-def test_guard_scans_whole_rows_of_incident_curves():
-    # A and B share the class E1, so A.B = -1 before any blow-up; a point
-    # on A alone leaves that entry unchanged, but it sits in A's row
-    hand = SurfaceModel(1, {"A": CurveClass(0, (-1,)), "B": CurveClass(0, (-1,))})
-    assert hand.intersect("A", "B") == -1
-    with pytest.raises(ValueError, match="'A'.'B' = -1"):
-        hand.blow_up(BlowupStep((("A", 1),)))
-    hand.blow_up(BlowupStep())  # a point on neither curve is allowed

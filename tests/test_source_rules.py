@@ -2,14 +2,23 @@
 
 import ast
 import importlib
+import json
 import re
 from itertools import product
 from pathlib import Path
 
 import qhpp
+from qhpp.cli import main
 from qhpp.families import FAMILIES, build
 
 SOURCES = sorted(Path(qhpp.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading, language):
+    """The first ``language`` code block after ``heading`` in the README."""
+    after = README.read_text().split(heading, 1)[1]
+    return after.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 def test_no_assert_statements():
@@ -71,8 +80,7 @@ def test_package_exports_the_library_modules_all():
 def test_readme_family_table_matches_registry():
     # the README families table states each family's parameters, their
     # least values and its chain templates; each must match the registry
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    table = readme.split("### Families", 1)[1].split("\n\n", 2)[1]
+    table = README.read_text().split("### Families", 1)[1].split("\n\n", 2)[1]
     rows = [
         [cell.strip() for cell in line.strip("|").split("|")]
         for line in table.splitlines()[2:]
@@ -102,3 +110,13 @@ def test_readme_family_table_matches_registry():
             want = [tuple(eval(t, {}, env)) for t in templates]
             got = [w.entries for w in build(family, params).expected_chains]
             assert got == want, (family, params)
+
+
+def test_readme_quickstart_runs():
+    exec(readme_block("## Library quickstart", "python"), {})
+
+
+def test_readme_json_record_is_what_family_prints(capsys):
+    assert main(["family", "S1", "3", "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads(readme_block("## Output formats", "json")) == printed
