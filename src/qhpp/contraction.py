@@ -10,8 +10,9 @@ trivial or anti-ample.
 :func:`contract` returns a :class:`Contraction` holding the singularities,
 the rank and, per contracted curve C, the integer ``q d_C`` (q the order of
 C's chain, ``d_C`` its discrepancy coefficient).  ``E . f*(K) = E.K + sum
-d_C (E.C)`` is summed in integers per chain and divided by each order once:
-ask ``contract(model, plan).pullback_k_dot(name)`` or ``.classify(test_curve)``.
+d_C (E.C)`` is summed in integers per chain, with one ``Fraction`` per call,
+over the product of the orders met: ask
+``contract(model, plan).pullback_k_dot(name)`` or ``.classify(test_curve)``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from types import MappingProxyType
 from typing import Mapping
 
@@ -106,8 +108,9 @@ class Contraction:
         named ``name``, exactly; walks E's sparse row once.
 
         The terms of one chain are summed in integers, ``sum q d_C (E.C)``,
-        and divided by the chain's order once.  For a (-1)-curve disjoint
-        from all chains this is exactly -1.
+        and the result is one ``Fraction`` per call, over the product of
+        the orders met.  For a (-1)-curve disjoint from all chains this is
+        exactly -1.
         """
         terms = self.terms
         if name in terms:
@@ -118,10 +121,12 @@ class Contraction:
             if term is not None:
                 i, qd = term
                 sums[i] = sums.get(i, 0) + qd * hits
-        total = Fraction(self.model.k_dot(name))
-        for i, s in sums.items():
-            total += Fraction(s, self.singularities[i][0].q)
-        return total
+        orders = [(self.singularities[i][0].q, s) for i, s in sums.items()]
+        den = prod(q for q, _ in orders)
+        num = self.model.k_dot(name) * den
+        for q, s in orders:
+            num += s * (den // q)
+        return Fraction(num, den)
 
     def classify(self, test_curve: str) -> QhppReport:
         """Trichotomy of the contracted canonical class.

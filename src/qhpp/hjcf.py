@@ -9,7 +9,9 @@ order q is the absolute determinant of the chain's intersection matrix.
 Determinants, values and entry bumps come from one backward pass of the
 continuant recurrence ``v_{j-1} = n_j v_j - v_{j+1}`` (from ``v_l = 1``,
 ``v_{l+1} = 0``), which keeps only the last two terms: ``v_0 = |w|`` and
-``v_1 = |[n2, ..., nl]|``, so ``evaluate(w) = v_0/v_1``.  Only
+``v_1 = |[n2, ..., nl]|``, so ``evaluate(w) = v_0/v_1``.
+``CyclicSingularity.from_chain`` and ``is_presented_by`` read ``(q, q1)``
+from the same pass as integers, without building a ``Fraction``.  Only
 ``partial_orders``, which ``discrepancy_coefficients`` reads, builds the
 whole sequences.
 
@@ -267,8 +269,9 @@ class CyclicSingularity:
     @classmethod
     def from_chain(cls, w: HJFraction) -> "CyclicSingularity":
         """The singularity resolved by the (nonempty) chain ``w``."""
-        value = evaluate(w)
-        return cls(value.numerator, value.denominator)
+        if not w.entries:
+            raise ValueError("the empty chain has no rational value")
+        return cls(*_continuants(w.entries))
 
     def q1_inverse(self) -> int:
         """The inverse of q1 mod q, i.e. q1 of the reversed chain."""
@@ -280,10 +283,9 @@ class CyclicSingularity:
 
     def is_presented_by(self, w: HJFraction) -> bool:
         """True when ``w`` resolves this singularity read from either end."""
-        if not w.entries or determinant(w) != self.q:
-            return False
-        q1 = evaluate(w).denominator
-        return q1 in (self.q1, self.q1_inverse())
+        # the empty chain has order 1, and q >= 2
+        q, q1 = _continuants(w.entries)
+        return q == self.q and q1 in (self.q1, self.q1_inverse())
 
 
 def normalize_type(q: int, wa: int, wb: int) -> CyclicSingularity:

@@ -11,14 +11,11 @@ cyclic quotient singularities; their orders ``s1, s2``, normalized types
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .hjcf import (
     CyclicSingularity,
     HJFraction,
-    determinant,
-    evaluate,
     make_pattern,
     normalize_type,
     pattern_determinant,
@@ -123,15 +120,14 @@ def singularity_types(
     chain1 = make_pattern(a4, a3, a1, a2)
     chain2 = make_pattern(a3, a2, a4, a1)
     # chain determinants and values agree with the congruence solutions
-    if not determinant(chain1) == pattern_determinant(a4, a3, a1, a2) == W.s1:
+    sing1 = CyclicSingularity.from_chain(chain1)
+    sing2 = CyclicSingularity.from_chain(chain2)
+    if not sing1.q == pattern_determinant(a4, a3, a1, a2) == W.s1:
         raise ArithmeticError(f"determinant of {chain1} is not s1 = {W.s1} for {p}")
-    if not determinant(chain2) == pattern_determinant(a3, a2, a4, a1) == W.s2:
+    if not sing2.q == pattern_determinant(a3, a2, a4, a1) == W.s2:
         raise ArithmeticError(f"determinant of {chain2} is not s2 = {W.s2} for {p}")
-    if evaluate(chain1) != Fraction(W.s1, W.t1):
+    if sing1.q1 != W.t1:
         raise ArithmeticError(f"{chain1} does not evaluate to {W.s1}/{W.t1} for {p}")
-    if evaluate(chain2) != Fraction(W.s2, W.t2):
+    if sing2.q1 != W.t2:
         raise ArithmeticError(f"{chain2} does not evaluate to {W.s2}/{W.t2} for {p}")
-    return (
-        (CyclicSingularity(W.s1, W.t1), chain1),
-        (CyclicSingularity(W.s2, W.t2), chain2),
-    )
+    return ((sing1, chain1), (sing2, chain2))

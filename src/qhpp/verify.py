@@ -30,7 +30,7 @@ from .hjcf import (
     pattern_determinant,
     reverse,
 )
-from .kollar import KollarParams, singularity_types, weights
+from .kollar import KollarParams, NonPrimitiveWeights, singularity_types, weights
 
 __all__ = ["Check", "SUITE_NAMES", "run"]
 
@@ -98,14 +98,12 @@ def _coprime_pairs(limit: int) -> Iterator[tuple[int, int]]:
 
 
 def verify_hjcf() -> list[Check]:
-    checks = []
-    checks.append(
-        _scan(
-            "hjcf.roundtrip",
-            _coprime_pairs(500),
-            lambda p: evaluate(expand(*p)) == Fraction(*p),
-        )
-    )
+    def roundtrip_ok(p: tuple[int, int]) -> bool:
+        # p is coprime with q1 >= 1, so it is the value's lowest terms
+        v = evaluate(expand(*p))
+        return (v.numerator, v.denominator) == p
+
+    checks = [_scan("hjcf.roundtrip", _coprime_pairs(500), roundtrip_ok)]
     chains = list(_all_chains(6, 2, 5))
     checks.append(
         _scan(
@@ -136,11 +134,12 @@ def verify_hjcf() -> list[Check]:
 
     def reversal_ok(w: HJFraction) -> bool:
         rev = reverse(w)
-        if determinant(rev) != determinant(w):
+        q = determinant(w)
+        if determinant(rev) != q:
             return False
         if not w.entries:
             return True
-        q, q1 = determinant(w), evaluate(w).denominator
+        q1 = evaluate(w).denominator
         return q1 * evaluate(rev).denominator % q == 1
 
     checks.append(_scan("hjcf.reversal", chains, reversal_ok))
@@ -149,17 +148,18 @@ def verify_hjcf() -> list[Check]:
         if not w.entries:
             return True
         coeffs = discrepancy_coefficients(w)
-        if not all(0 <= d < 1 for d in coeffs):
+        if not all(0 <= d.numerator < d.denominator for d in coeffs):
             return False
-        return (all(d == 0 for d in coeffs)) == all(n == 2 for n in w.entries)
+        return all(d.numerator == 0 for d in coeffs) == all(n == 2 for n in w.entries)
 
     checks.append(_scan("hjcf.discrepancies", chains, discrepancies_ok))
 
     def monotone_ok(w: HJFraction) -> bool:
         # bumping any entry strictly increases the determinant
         po = partial_orders(w)
+        q = determinant(w)
         return all(
-            bump_determinant(w, j) > determinant(w) and po.u[j] >= 1 and po.v[j] >= 1
+            bump_determinant(w, j) > q and po.u[j] >= 1 and po.v[j] >= 1
             for j in range(1, len(w) + 1)
         )
 
@@ -197,12 +197,13 @@ def verify_kollar() -> list[Check]:
     checks.append(_scan("kollar.congruences", primitive, congruences))
 
     def chains_ok(p: KollarParams) -> bool:
-        (s1, c1), (s2, c2) = singularity_types(p)
-        if determinant(c1) != s1.q or determinant(c2) != s2.q:
-            return False
-        return evaluate(c1) == Fraction(s1.q, s1.q1) and evaluate(c2) == Fraction(
-            s2.q, s2.q1
-        )
+        for sing, chain in singularity_types(p):
+            # (q, q1) is coprime with q1 >= 1, so it is the value's lowest terms
+            v = evaluate(chain)
+            want = (sing.q, sing.q, sing.q1)
+            if (determinant(chain), v.numerator, v.denominator) != want:
+                return False
+        return True
 
     checks.append(_scan("kollar.chain_types", primitive, chains_ok))
     checks.append(
@@ -284,7 +285,7 @@ def _genus_ok(fb: families.FamilyBuild) -> bool:
 
 
 def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+    return (x.numerator > 0) - (x.numerator < 0)
 
 
 def _sign_independent(fb: families.FamilyBuild) -> bool:
@@ -294,12 +295,12 @@ def _sign_independent(fb: families.FamilyBuild) -> bool:
 
 def _kollar_agrees(params: tuple[int, ...], sings: list) -> bool:
     """T's orders match the weight-system types when ``w* = 1``."""
-    p = KollarParams(*params)
-    if weights(p).wstar != 1:
+    try:
+        types = singularity_types(KollarParams(*params))
+    except NonPrimitiveWeights:
         return True
     return all(
-        s.q == k.q and s.q1 in (k.q1, k.q1_inverse())
-        for s, (k, _) in zip(sings, singularity_types(p))
+        s.q == k.q and s.q1 in (k.q1, k.q1_inverse()) for s, (k, _) in zip(sings, types)
     )
 
 

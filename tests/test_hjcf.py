@@ -5,6 +5,7 @@ from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
+from qhpp import verify
 from qhpp.hjcf import (
     CyclicSingularity,
     HJFraction,
@@ -20,6 +21,7 @@ from qhpp.hjcf import (
     pattern_determinant,
     reverse,
 )
+from qhpp.kollar import KollarParams
 
 
 # --- independent oracles -----------------------------------------------------
@@ -403,6 +405,22 @@ def test_singularity_chain_roundtrip(pair):
     assert sing.q1 * sing.q1_inverse() % q == 1
 
 
+def test_from_chain_refuses_the_empty_chain():
+    with pytest.raises(ValueError, match=r"^the empty chain has no rational value$"):
+        CyclicSingularity.from_chain(HJFraction(()))
+
+
+def test_is_presented_by_rejects_the_empty_chain_and_wrong_orientations():
+    sing = CyclicSingularity(7, 2)
+    assert not sing.is_presented_by(HJFraction(()))
+    # [3, 2, 2] is 7/3, and 3 is neither q1 = 2 nor its inverse 4 mod 7
+    assert evaluate(HJFraction((3, 2, 2))) == Fraction(7, 3)
+    assert sing.q1_inverse() == 4
+    assert not sing.is_presented_by(HJFraction((3, 2, 2)))
+    assert sing.is_presented_by(expand(7, 2))
+    assert sing.is_presented_by(expand(7, 4))
+
+
 # --- single-pass kernels against list-based continuants ----------------------
 
 
@@ -442,3 +460,64 @@ def test_single_pass_kernels_match_list_reference(entries):
     assert discrepancy_coefficients(w) == tuple(
         1 - Fraction(u[j] + v[j], q) for j in range(1, len(entries) + 1)
     )
+
+
+# --- the verify hjcf and kollar suites -------------------------------------
+
+
+def test_verify_hjcf_per_check():
+    results = verify.run("hjcf")
+    got = [(c.name, c.passed, c.detail) for c in results]
+    assert got == [
+        (f"hjcf.{name}", True, f"{cases} cases")
+        for name, cases in [
+            ("roundtrip", 76115),
+            ("determinant_oracle", 5461),
+            ("bump_identity", 5461),
+            ("pattern_closed_form", 3136),
+            ("reversal", 5461),
+            ("discrepancies", 5461),
+            ("monotonicity", 5461),
+        ]
+    ]
+
+
+def _one_more(v):
+    return Fraction(v.numerator + 1, v.denominator)
+
+
+@pytest.mark.parametrize(
+    "function, entries, fault, check, case",
+    [
+        # 7/3 read back as 8/3
+        ("evaluate", (3, 2, 2), _one_more, "hjcf.roundtrip", (7, 3)),
+        # a coefficient of 1 is outside [0, 1)
+        (
+            "discrepancy_coefficients",
+            (3, 2),
+            lambda ds: (Fraction(1),) + ds[1:],
+            "hjcf.discrepancies",
+            HJFraction((3, 2)),
+        ),
+        # every bump of [3, 2] keeps its determinant 5
+        ("bump_determinant", (3, 2), lambda b: 5, "hjcf.monotonicity", HJFraction((3, 2))),
+        # the second chain of the first primitive tuple, 11/8, read as 12/8
+        (
+            "evaluate",
+            (2, 2, 3, 2),
+            _one_more,
+            "kollar.chain_types",
+            KollarParams(2, 2, 2, 3),
+        ),
+    ],
+)
+def test_verify_catches_one_wrong_value(monkeypatch, function, entries, fault, check, case):
+    real = getattr(verify, function)
+
+    def faulty(w, *args):
+        value = real(w, *args)
+        return fault(value) if w.entries == entries else value
+
+    monkeypatch.setattr(verify, function, faulty)
+    results = {c.name: c for c in verify.run(check.split(".")[0])}
+    assert results[check] == verify.Check(check, False, f"first counterexample: {case!r}")

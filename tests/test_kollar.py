@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from qhpp import verify
 from qhpp.hjcf import determinant, evaluate, make_pattern, pattern_determinant
 from qhpp.kollar import (
     KollarParams,
@@ -113,3 +114,14 @@ def test_smooth_point_convention():
     W = weights(KollarParams(2, 2, 2, 2))
     assert (W.s1, W.s2) == (1, 1)
     assert (W.t1, W.t2) == (0, 0)
+
+
+def test_verify_kollar_per_check():
+    results = verify.run("kollar")
+    got = [(c.name, c.passed, c.detail) for c in results]
+    assert got == [
+        ("kollar.s_identities", True, "625 cases"),
+        ("kollar.congruences", True, "544 cases"),
+        ("kollar.chain_types", True, "544 cases"),
+        ("kollar.primitive_count", True, "544 of 625 tuples in [2,6]^4 have w* = 1"),
+    ]
