@@ -13,8 +13,9 @@ rank one.  The resulting :class:`FamilyBuild` holds the plan's
 every ``E . f*(K)`` are read.  A script passes its parameter-dependent steps
 to one :meth:`~qhpp.lattice.SurfaceModel.blow_up` call; the S1 and S3
 scripts start from a parameter-free base model built once per process.
-Their towers, most of the steps of a large member, come from
-:meth:`~qhpp.lattice.BlowupStep.tower`, which checks a tower once.
+Their towers, most of the steps of a large member, are
+:class:`~qhpp.lattice.Tower` steps in that same call, each checked once and
+applied in closed form.
 
 Families:
 
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 
 from .contraction import Contraction, ContractionPlan, QhppReport, contract
 from .hjcf import HJFraction, make_pattern, reverse
-from .lattice import BlowupStep, SurfaceModel
+from .lattice import BlowupStep, SurfaceModel, Tower
 
 __all__ = [
     "BuildCheckError",
@@ -143,32 +144,31 @@ def _tower(stem: str, count: int, last: str) -> list[str]:
 
 def _run_tower(
     start: str, along: str, names: Sequence[str]
-) -> tuple[tuple[BlowupStep, ...], list[str], str]:
+) -> tuple[Tower, list[str], str]:
     """One blow-up per name, first at ``start & along`` and then always at
     the newest exceptional's meeting with ``along`` (see
-    :meth:`~qhpp.lattice.BlowupStep.tower`).
+    :class:`~qhpp.lattice.Tower`).
 
-    Returns ``(steps, members, moving)`` where ``members`` are the curves
-    the steps push to self-intersection -2 (innermost first, starting with
+    Returns ``(tower, members, moving)`` where ``members`` are the curves
+    the tower pushes to self-intersection -2 (innermost first, starting with
     ``start``) and ``moving`` is the final (-1)-curve (``start`` itself when
     ``names`` is empty).
     """
     chain = [start, *names]
-    return BlowupStep.tower(start, along, names), chain[:-1], chain[-1]
+    return Tower(start, along, names), chain[:-1], chain[-1]
 
 
 def _script_t(a1: int, a2: int, a3: int, a4: int):
     """The script of :func:`build_T`."""
     a = (a1, a2, a3, a4)
     prev = {1: "L4", 2: "L1", 3: "L2", 4: "L3"}
-    steps: list[BlowupStep] = []
+    steps: list[BlowupStep | Tower] = []
     run: dict[int, list[str]] = {}
     for k in (1, 2, 3, 4):
         line = f"L{k}"
-        steps.append(_step(f"D{k}", (prev[k], 1), (line, 1)))
         names = [f"E{k}_{j}" for j in range(a[k - 1] - 2)] + [f"E{k}"]
         tower, run[k], _ = _run_tower(f"D{k}", line, names)
-        steps += tower
+        steps += _step(f"D{k}", (prev[k], 1), (line, 1)), tower
     model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1}).blow_up(*steps)
     upper = tuple(reversed(run[4])) + ("L3", "L1") + tuple(run[2])
     lower = tuple(reversed(run[3])) + ("L2", "L4") + tuple(run[1])
@@ -214,9 +214,9 @@ def _script_s1(b: int, c: int = 2, deep: str = "A"):
     ``deep = "B"``) the same way, c - 2 times, so the template holds c
     where ``{deep}2`` sits on the spine.
     """
-    steps, tail, moving = _run_tower("D3", "D2", _tower("G", b - 2, "E"))
+    tower, tail, moving = _run_tower("D3", "D2", _tower("G", b - 2, "E"))
     more, members, _ = _run_tower(f"{deep}3", f"{deep}2", _tower("H", c - 2, "F"))
-    model = _s1_base().blow_up(*steps, *more)
+    model = _s1_base().blow_up(tower, more)
     chain = tuple(reversed(members)) + _S1_SPINE + tuple(tail)
     spine = [3, b, 2, 2, 2, 2, 2, 2, 2, 3]
     spine[_S1_SPINE.index(f"{deep}2")] = c
@@ -256,7 +256,7 @@ def _script_s3(b: int, c: int = 0, y: bool = False):
     steps = [_step("J", ("V2", 1), ("C", 1))] if y else []
     tower, tail, moving = _run_tower("U2", "C", _tower("G", b - 2, "E"))
     more, members, _ = _run_tower("Q3", "Q2", _tower("H", c, "F"))
-    model = _s3_base().blow_up(*steps, *tower, *more)
+    model = _s3_base().blow_up(*steps, tower, more)
     middle = tuple(reversed(members)) + ("L1", "M1", "L3")
     middle_w = (2,) * c + (3, 2, 2)
     big = ("Q1", "Q2", "C", "L2", "U1") + tuple(tail)

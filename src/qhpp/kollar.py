@@ -10,6 +10,7 @@ cyclic quotient singularities; their orders ``s1, s2``, normalized types
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -40,6 +41,8 @@ class KollarParams:
     a4: int
 
     def __post_init__(self) -> None:
+        for name in ("a1", "a2", "a3", "a4"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if min(self.a1, self.a2, self.a3, self.a4) < 2:
             raise ValueError(f"all parameters must be >= 2, got {self.as_tuple()}")
 

@@ -30,9 +30,11 @@ each step costs, for ``k`` incident curves, ``O(k^2)`` table updates and a
 copy of their rows.  Models share the rows of curves that no step of the
 call passes through.  Intersection numbers are table lookups, and
 extracting a chain walks the rows of its curves; ``meets`` is a read-only
-view of a row, not a copy.  ``BlowupStep.tower`` writes the steps of a tower
-(each blowing up the newest exceptional's meeting with one fixed curve)
-and checks the tower once instead of each step.  ``tracked`` gives the
+view of a row, not a copy.  A :class:`Tower` step stands for a tower of
+blow-ups, one per name, each at the newest exceptional's meeting with one
+fixed curve; ``blow_up`` writes its final rows in closed form, with work
+linear in the names and one copy each of the two old rows it changes, and
+gives the refusals its steps would give.  ``tracked`` gives the
 names; ``curve(name)`` rebuilds a dense :class:`CurveClass` from the
 curve's sparse multiplicities.  Exceptional curves are smooth rational, so
 a model stores only the few curves exempt from the genus check
@@ -53,6 +55,7 @@ __all__ = [
     "ChainShapeError",
     "CurveClass",
     "BlowupStep",
+    "Tower",
     "SurfaceModel",
     "DualGraph",
 ]
@@ -103,34 +106,29 @@ class BlowupStep:
             if m < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {m} for {n!r}")
 
-    @classmethod
-    def tower(
-        cls, start: str, along: str, names: Sequence[str]
-    ) -> tuple["BlowupStep", ...]:
-        """One step per name: the first blows up ``start & along``, each
-        later one the previous step's exceptional curve's meeting with
-        ``along``, all with multiplicity 1.
 
-        Checked once for the whole tower, not per step: the names become
-        ``str``, and ``along`` must differ from ``start`` and from every
-        name, so that no step names one curve twice.
-        """
-        start, along = str(start), str(along)
-        names = [str(nm) for nm in names]
+@dataclass(frozen=True)
+class Tower:
+    """One blow-up per name: the first at ``start & along``, each later one
+    at the previous exceptional curve's meeting with ``along``, all with
+    multiplicity 1.  The names become ``str``, and ``along`` must differ
+    from ``start`` and from every name, so that no step names one curve
+    twice.  :meth:`SurfaceModel.blow_up` applies a tower in closed form."""
+
+    start: str
+    along: str
+    names: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        start, along = str(self.start), str(self.along)
+        names = tuple(map(str, self.names))
         if along == start or along in names:
             raise ValueError(
                 f"a tower along {along!r} may not start at it or name a step after it"
             )
-        steps = []
-        current = start
-        for nm in names:
-            # checked above, so built without __post_init__
-            step = object.__new__(cls)
-            object.__setattr__(step, "incidences", ((current, 1), (along, 1)))
-            object.__setattr__(step, "name", nm)
-            steps.append(step)
-            current = nm
-        return tuple(steps)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "along", along)
+        object.__setattr__(self, "names", names)
 
 
 @dataclass(frozen=True)
@@ -346,30 +344,32 @@ class SurfaceModel:
             self.blowup_count, self._rows, self._singular - {name}
         )
 
-    def blow_up(self, *steps: BlowupStep) -> "SurfaceModel":
-        """Blow up one point per step, in order, and return the new model.
+    def blow_up(self, *steps: BlowupStep | Tower) -> "SurfaceModel":
+        """Blow up one point per step, and one per name of each
+        :class:`Tower`, in order, and return the new model.
 
-        For each step, every incident curve class C with multiplicity m
+        For each point, every incident curve class C with multiplicity m
         becomes ``C - m * E_new``; only the rows of the incident curves and
         of ``E_new`` change (see the module docstring).  The table is copied
         once per call, not once per step, so a whole script should be one
         call.  Each step is checked before the next one runs: its curves
         must be tracked, its name new, no pairing of two incident curves
         may go negative (no other pairing changes) and no curve but the
-        exempt singular ones may fall below ``C.C + C.K = -2``.  A refused
-        step raises and leaves this model unchanged.
+        exempt singular ones may fall below ``C.C + C.K = -2``.  A tower
+        gives the refusals of its steps, in their order, and otherwise
+        writes its final rows directly (see :func:`_blow_up_tower`).  A
+        refused step raises and leaves this model unchanged.
         """
         n = self.blowup_count
         singular = self._singular
         rows = dict(self._rows)
         for step in steps:
+            if isinstance(step, Tower):
+                n = _blow_up_tower(rows, n, step)
+                continue
             incident = dict(step.incidences)
-            if not incident.keys() <= rows.keys():
-                missing = sorted(nm for nm in incident if nm not in rows)
-                raise KeyError(f"unknown curves in incidences: {missing}")
             name = step.name if step.name is not None else f"E{n + 1}"
-            if name in rows:
-                raise ValueError(f"curve name {name!r} is already tracked")
+            _check_new(rows, incident.keys(), name)
             for a, m in incident.items():
                 row = rows[a]
                 meets = dict(row.meets)
@@ -458,3 +458,71 @@ class SurfaceModel:
                     f"{names[i]!r}.{names[j]!r} = {w}, expected {want}"
                 )
         return HJFraction(tuple(entries))
+
+
+def _check_new(rows: dict[str, _Row], incident, name: str) -> None:
+    """Refuse a step whose incident curves are not all tracked, then one
+    whose new curve's name is already tracked."""
+    if not rows.keys() >= incident:
+        missing = sorted(nm for nm in incident if nm not in rows)
+        raise KeyError(f"unknown curves in incidences: {missing}")
+    if name in rows:
+        raise ValueError(f"curve name {name!r} is already tracked")
+
+
+def _blow_up_tower(rows: dict[str, _Row], n: int, tower: Tower) -> int:
+    """Apply a tower of ``k`` names to the private table ``rows`` of a model
+    with ``n`` blow-ups in closed form; return the new blow-up count.
+
+    The ``k`` steps leave ``start`` with ``C.C - 1``, ``C.K + 1`` and
+    ``start.along - 1``, meeting the first name once; each inner name a
+    (-2)-curve with ``K``-degree 0 meeting its two neighbours once; the last
+    name a (-1)-curve meeting its predecessor and ``along`` once; and
+    ``along`` with ``C.C - k`` and ``C.K + k``, meeting the last name once.
+    Each row is written once, in the pairing order the steps would leave.
+    With multiplicity 1 no ``C.C + C.K`` changes, so there is no genus
+    check.  The refusals are the steps': unknown ``start`` or ``along``,
+    the first name already tracked, ``start`` not meeting ``along``, then
+    any later name already tracked (a repeat within ``names`` included).
+    """
+    start, along, names = tower.start, tower.along, tower.names
+    k = len(names)
+    if not k:
+        return n
+    first = names[0]
+    _check_new(rows, {start, along}, first)
+    row = rows[start]
+    w = row.meets.get(along, 0) - 1
+    if w < 0:
+        raise ValueError(
+            f"over-assigned incidences: {start!r}.{along!r} = {w} "
+            f"after blowing up {first!r}"
+        )
+    meets = dict(row.meets)
+    del meets[along]
+    if w:
+        meets[along] = w
+    meets[first] = 1
+    rows[start] = _Row(
+        row.degree, (n, 1, row.mults), row.self_int - 1, row.k_dot + 1, meets
+    )
+    # blow-up i makes the name after nm, which then meets nm once
+    prev = start
+    for i, nm, nxt in zip(range(n + 1, n + k), names, names[1:]):
+        rows[nm] = _Row(0, (i, 1, (i - 1, -1, None)), -2, 0, {prev: 1, nxt: 1})
+        if nxt in rows:
+            raise ValueError(f"curve name {nxt!r} is already tracked")
+        prev = nm
+    last = names[-1]
+    rows[last] = _Row(0, (n + k - 1, -1, None), -1, -1, {prev: 1, along: 1})
+    row = rows[along]
+    mults = row.mults
+    for i in range(n, n + k):
+        mults = (i, 1, mults)
+    meets = dict(row.meets)
+    del meets[start]
+    if w:
+        meets[start] = w
+    meets[last] = 1
+    rows[along] = _Row(row.degree, mults, row.self_int - k, row.k_dot + k, meets)
+    return n + k

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark: one traced pass of two small workloads.
+"""Smoke test of the benchmark: one traced pass of three small workloads.
 
 Each run checks every output of its pass against the benchmark's own
 oracles and reports the outcome on its last line.
@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["chain_arith", "deep_build"])
+@pytest.mark.parametrize("workload", ["chain_arith", "deep_build", "sweep_small"])
 def test_benchmark_pass_is_correct(workload):
     proc = subprocess.run(
         [

@@ -392,6 +392,7 @@ def test_integer_pullback_matches_fraction_route():
         lambda: SurfaceModel.plane({"L": 1.5}),
         lambda: CurveClass(1.5, (1,)),
         lambda: pattern_determinant(2.5, 3, 3, 2),
+        lambda: KollarParams(2.5, 3, 3, 3),
     ],
     ids=[
         "build",
@@ -403,6 +404,7 @@ def test_integer_pullback_matches_fraction_route():
         "plane",
         "CurveClass_degree",
         "pattern_determinant",
+        "KollarParams",
     ],
 )
 def test_non_integers_are_refused_not_truncated(make):

@@ -7,6 +7,7 @@ from qhpp.lattice import (
     CurveClass,
     DualGraph,
     SurfaceModel,
+    Tower,
 )
 
 
@@ -127,24 +128,61 @@ def test_step_validation():
 
 
 def test_tower_steps_equal_checked_steps():
-    steps = BlowupStep.tower("A", "L", ["B", "C", "D"])
-    assert steps == (
+    plane = SurfaceModel.plane({"A": 1, "L": 1})
+    steps = (
         BlowupStep((("A", 1), ("L", 1)), name="B"),
         BlowupStep((("B", 1), ("L", 1)), name="C"),
         BlowupStep((("C", 1), ("L", 1)), name="D"),
     )
-    assert BlowupStep.tower("A", "L", []) == ()
+    model = plane.blow_up(Tower("A", "L", ["B", "C", "D"]))
+    want = plane.blow_up(*steps)
+    assert model.tracked == want.tracked == ("A", "L", "B", "C", "D")
+    assert model.blowup_count == 3
+    for nm in want.tracked:
+        assert model.curve(nm) == want.curve(nm)
+        assert dict(model.meets(nm)) == dict(want.meets(nm))
+    assert [model.self_int(nm) for nm in "ALBCD"] == [0, -2, -2, -2, -1]
+    # an empty tower is a no-op, even at curves the model lacks
+    assert plane.blow_up(Tower("X", "Y")).tracked == plane.tracked
     # names become str, as in the public constructor
-    assert BlowupStep.tower("A", "L", [7]) == (BlowupStep((("A", 1), ("L", 1)), "7"),)
+    assert Tower("A", "L", [7]) == Tower("A", "L", ("7",))
+    assert plane.blow_up(Tower("A", "L", [7])).curve("7") == CurveClass(0, (-1,))
 
 
 def test_tower_refuses_a_curve_named_twice():
     with pytest.raises(ValueError):
-        BlowupStep.tower("L", "L", ["B"])
+        Tower("L", "L", ["B"])
     with pytest.raises(ValueError):
-        BlowupStep.tower("A", "L", ["B", "L", "C"])
+        Tower("A", "L", ["B", "L", "C"])
     with pytest.raises(ValueError):
-        BlowupStep.tower("A", "L", ["L"])
+        Tower("A", "L", ["L"])
+    plane = SurfaceModel.plane({"A": 1, "L": 1})
+    with pytest.raises(ValueError, match="curve name 'B' is already tracked"):
+        plane.blow_up(Tower("A", "L", ["B", "C", "B"]))
+    with pytest.raises(ValueError, match="curve name 'A' is already tracked"):
+        plane.blow_up(Tower("A", "L", ["B", "A"]))
+
+
+def test_tower_refusals_come_in_step_order():
+    # A and L stop meeting once their common point is blown up
+    model = SurfaceModel.plane({"A": 1, "L": 1}).blow_up(
+        BlowupStep((("A", 1), ("L", 1)), "P")
+    )
+    refusals = [
+        (Tower("A", "X", ["P"]), KeyError, "unknown curves in incidences: ['X']"),
+        (Tower("A", "L", ["P"]), ValueError, "curve name 'P' is already tracked"),
+        (
+            Tower("A", "L", ["Q", "P"]),
+            ValueError,
+            "over-assigned incidences: 'A'.'L' = -1 after blowing up 'Q'",
+        ),
+        (Tower("P", "L", ["Q", "A"]), ValueError, "curve name 'A' is already tracked"),
+    ]
+    for tower, kind, message in refusals:
+        with pytest.raises(kind) as info:
+            model.blow_up(tower)
+        assert message in str(info.value)
+    assert model.tracked == ("A", "L", "P") and model.self_int("L") == 0
 
 
 def test_meets_is_a_read_only_view():

@@ -6,16 +6,23 @@ replayed on dense classes ``(d, [m_1, ..., m_n])`` with
 a step must be refused exactly when the reference finds a negative pairing
 or a smooth curve with ``C.C + C.K < -2``.  A whole script passed to one
 ``blow_up`` call must give the same table as one call per step, or the same
-error at the same step.
+error at the same step, and a ``Tower`` must give the same table as its
+steps written out, or the same error.
 """
 
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhpp.lattice import BlowupStep, ChainShapeError, CurveClass, SurfaceModel
+from qhpp.lattice import (
+    BlowupStep,
+    ChainShapeError,
+    CurveClass,
+    SurfaceModel,
+    Tower,
+)
 
 PLANE = {"L1": 1, "L2": 1, "L3": 1, "Q": 2, "C": 3}
 SINGULAR = {"C"}  # a nodal cubic; every other curve is smooth rational
@@ -212,6 +219,102 @@ def test_one_call_matches_step_by_step(script, keep_refused):
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
         assert table(plane.blow_up(*steps[:k])) == table(model)
     assert table(plane) == before
+
+
+def accepted_steps(script):
+    """The steps of a random script that the model accepts, and the model
+    they make (the table itself is checked against the dense reference
+    above, so the model alone decides here)."""
+    model = SurfaceModel.plane(PLANE, singular=SINGULAR)
+    steps = []
+    for k, (free, anchor, others, mults) in enumerate(script):
+        through = {}
+        if free:
+            names = model.tracked
+            anchor = names[anchor % len(names)]
+            pool = list(model.meets(anchor)) or names
+            through = dict.fromkeys([anchor, *(pool[i % len(pool)] for i in others)])
+        step = BlowupStep(tuple(zip(through, mults)), f"X{k}")
+        try:
+            model = model.blow_up(step)
+        except ValueError:
+            continue
+        steps.append(step)
+    return steps, model
+
+
+# a tower: start (the last candidate is unknown); along drawn among the
+# curves meeting start, the tracked curves missing it or all candidates
+# (the last one unknown); the number of names; and per name a kind with an
+# index.  The first name's refusal comes before the pairing check, so it
+# is drawn tracked more often.  Indices are taken modulo the candidates.
+TOWER = st.tuples(
+    st.integers(0, 63),
+    st.sampled_from(["meeting", "meeting", "missing", "any"]),
+    st.integers(0, 63),
+    st.sampled_from(range(13)),
+    st.tuples(st.sampled_from(["fresh", "fresh", "tracked"]), st.integers(0, 63)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["fresh"] * 10 + ["tracked", "repeated"]),
+            st.integers(0, 63),
+        ),
+        min_size=11,
+        max_size=11,
+    ),
+)
+
+
+def draw_tower(model, tower):
+    start, mode, along, count, first, later = tower
+    tracked = list(model.tracked)
+    start = [*tracked, "U"][start % (len(tracked) + 1)]
+    met = list(model.meets(start)) if start in tracked else []
+    missed = [c for c in tracked if c != start and c not in met]
+    pool = {"meeting": met, "missing": missed}.get(mode) or [*tracked, "V"]
+    along = pool[along % len(pool)]
+    names = []
+    for j, (kind, i) in enumerate([first, *later][:count]):
+        if kind == "repeated":
+            names.append(names[i % len(names)])
+        elif kind == "tracked":
+            others = [c for c in tracked if c != along]
+            names.append(others[i % len(others)])
+        else:
+            names.append(f"T{j}")
+    return start, along, names
+
+
+def ordered_meets(model):
+    return [tuple(model.meets(nm).items()) for nm in model.tracked]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(STEP, max_size=30), TOWER)
+def test_tower_matches_its_checked_steps(script, tower):
+    prefix, model = accepted_steps(script)
+    plane = SurfaceModel.plane(PLANE, singular=SINGULAR)
+    start, along, names = draw_tower(model, tower)
+    assume(along != start)
+    steps = []
+    current = start
+    for nm in names:
+        steps.append(BlowupStep(((current, 1), (along, 1)), nm))
+        current = nm
+    tower = Tower(start, along, names)
+    before = table(model), ordered_meets(model)
+    try:
+        want = model.blow_up(*steps)
+    except (KeyError, ValueError) as exc:
+        for receiver, call in ((model, [tower]), (plane, [*prefix, tower])):
+            with pytest.raises(type(exc)) as info:
+                receiver.blow_up(*call)
+            assert str(info.value) == str(exc)
+    else:
+        for got in (model.blow_up(tower), plane.blow_up(*prefix, tower)):
+            assert table(got) == table(want)
+            assert ordered_meets(got) == ordered_meets(want)
+    assert (table(model), ordered_meets(model)) == before
 
 
 def test_no_steps_gives_an_equal_table():
