@@ -39,14 +39,10 @@ MAX_EXPAND_LENGTH = 1_000_000
 MAX_EVAL_DIGITS = 4_000_000
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; route through our exit-code scheme
+    # argparse exits with 2 on bad usage; main prints it as exit code 1
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _frac(x: Fraction) -> str:
@@ -62,9 +58,9 @@ def _parse_span(text: str) -> range:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise _UsageError(f"bad range {text!r}; expected N or LO..HI") from None
+        raise ValueError(f"bad range {text!r}; expected N or LO..HI") from None
     if hi < lo:
-        raise _UsageError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -194,7 +190,7 @@ def cmd_sweep(args) -> int:
     families.check_params(family, [span[0] for span in spans])
     members = prod(len(span) for span in spans)
     if members > families.MAX_SWEEP_MEMBERS:
-        raise _UsageError(
+        raise ValueError(
             f"the box has {members} members; the limit is {families.MAX_SWEEP_MEMBERS}"
         )
     if args.output:  # fail on an unwritable path before any build, emptying nothing
@@ -306,9 +302,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except families.BuildCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

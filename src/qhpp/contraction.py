@@ -8,10 +8,10 @@ whether the canonical class of the contracted surface is ample, numerically
 trivial or anti-ample.
 
 :func:`contract` returns a :class:`Contraction` holding the singularities,
-the rank and, per contracted curve C, the integer ``q d_C`` (q the order of
-C's chain, ``d_C`` its discrepancy coefficient).  ``E . f*(K) = E.K + sum
-d_C (E.C)`` is summed in integers per chain, with one ``Fraction`` per call,
-over the product of the orders met: ask
+the rank and, per contracted curve C, the pair ``(q, q d_C)`` (q the order
+of C's chain, ``d_C`` its discrepancy coefficient).  ``E . f*(K) = E.K + sum
+d_C (E.C)`` is summed in integers per order, with one ``Fraction`` per call,
+over the product of the distinct orders met: ask
 ``contract(model, plan).pullback_k_dot(name)`` or ``.classify(test_curve)``.
 """
 
@@ -99,18 +99,18 @@ class Contraction:
     model: SurfaceModel
     singularities: tuple[tuple[CyclicSingularity, HJFraction], ...]
     rho: int
-    # contracted curve name -> (index of its chain, q * d_C), where q is the
-    # order of that chain, so that d_C = terms[C][1] / q
+    # contracted curve name -> (q, q * d_C), where q is the order of its
+    # chain, so that d_C = terms[C][1] / terms[C][0]
     terms: Mapping[str, tuple[int, int]]
 
     def pullback_k_dot(self, name: str) -> Fraction:
         """``E . f*(K) = E.K + sum d_C (E.C)`` for the non-contracted curve E
         named ``name``, exactly; walks E's sparse row once.
 
-        The terms of one chain are summed in integers, ``sum q d_C (E.C)``,
+        The terms of one order are summed in integers, ``sum q d_C (E.C)``,
         and the result is one ``Fraction`` per call, over the product of
-        the orders met.  For a (-1)-curve disjoint from all chains this is
-        exactly -1.
+        the distinct orders met.  For a (-1)-curve disjoint from all chains
+        this is exactly -1.
         """
         terms = self.terms
         if name in terms:
@@ -119,12 +119,11 @@ class Contraction:
         for curve, hits in self.model.meets(name).items():
             term = terms.get(curve)
             if term is not None:
-                i, qd = term
-                sums[i] = sums.get(i, 0) + qd * hits
-        orders = [(self.singularities[i][0].q, s) for i, s in sums.items()]
-        den = prod(q for q, _ in orders)
+                q, qd = term
+                sums[q] = sums.get(q, 0) + qd * hits
+        den = prod(sums)
         num = self.model.k_dot(name) * den
-        for q, s in orders:
+        for q, s in sums.items():
             num += s * (den // q)
         return Fraction(num, den)
 
@@ -177,12 +176,12 @@ def contract(model: SurfaceModel, plan: ContractionPlan) -> Contraction:
         raise ValueError(f"chains are not disjoint: {a!r} meets {b!r}")
     terms: dict[str, tuple[int, int]] = {}
     singularities = []
-    for i, (chain, w) in enumerate(zip(chains, extracted)):
+    for chain, w in zip(chains, extracted):
         po = partial_orders(w)
         q = po.order
         # q d_j = q - u_j - v_j, as in hjcf.discrepancy_coefficients
         for nm, u, v in zip(chain, po.u[1:-1], po.v[1:-1]):
-            terms[nm] = (i, q - u - v)
+            terms[nm] = (q, q - u - v)
         singularities.append((CyclicSingularity(q, po.v[1]), w))
-    rho = 1 + model.blowup_count - sum(len(chain) for chain in chains)
+    rho = 1 + model.blowup_count - len(terms)
     return Contraction(model, tuple(singularities), rho, MappingProxyType(terms))

@@ -10,12 +10,12 @@ the spec (:func:`check_params`), runs the script and fails loudly if the
 scripted lattice does not reproduce the template or does not land at Picard
 rank one.  The resulting :class:`FamilyBuild` holds the plan's
 :class:`~qhpp.contraction.Contraction`, made once, from which its class and
-every ``E . f*(K)`` are read.  A script passes its parameter-dependent steps
-to one :meth:`~qhpp.lattice.SurfaceModel.blow_up` call; the S1 and S3
-scripts start from a parameter-free base model built once per process.
-Their towers, most of the steps of a large member, are
-:class:`~qhpp.lattice.Tower` steps in that same call, each checked once and
-applied in closed form.
+every ``E . f*(K)`` are read.  A member is one of three bases plus towers:
+the plane of four lines for T, or a parameter-free S1 or S3 base model
+built once per process.  Its script passes all of its parameter-dependent
+blow-ups to one :meth:`~qhpp.lattice.SurfaceModel.blow_up` call as
+:class:`~qhpp.lattice.Tower` steps, each checked once and applied in closed
+form; a tower with no names blows up nothing.
 
 Families:
 
@@ -162,14 +162,13 @@ def _script_t(a1: int, a2: int, a3: int, a4: int):
     """The script of :func:`build_T`."""
     a = (a1, a2, a3, a4)
     prev = {1: "L4", 2: "L1", 3: "L2", 4: "L3"}
-    steps: list[BlowupStep | Tower] = []
+    towers = []
     run: dict[int, list[str]] = {}
     for k in (1, 2, 3, 4):
-        line = f"L{k}"
-        names = [f"E{k}_{j}" for j in range(a[k - 1] - 2)] + [f"E{k}"]
-        tower, run[k], _ = _run_tower(f"D{k}", line, names)
-        steps += _step(f"D{k}", (prev[k], 1), (line, 1)), tower
-    model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1}).blow_up(*steps)
+        names = [f"D{k}"] + [f"E{k}_{j}" for j in range(a[k - 1] - 2)] + [f"E{k}"]
+        towers.append(Tower(prev[k], f"L{k}", names))
+        run[k] = names[:-1]
+    model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1}).blow_up(*towers)
     upper = tuple(reversed(run[4])) + ("L3", "L1") + tuple(run[2])
     lower = tuple(reversed(run[3])) + ("L2", "L4") + tuple(run[1])
     expected = make_pattern(a4, a3, a1, a2), make_pattern(a3, a2, a4, a1)
@@ -253,10 +252,10 @@ def _script_s3(b: int, c: int = 0, y: bool = False):
     The deep point P sits where the last (-1)-curve U2 meets C; variant
     towers deepen P'' (on Q2) c times and, for Y, P' (V2 & C) once.
     """
-    steps = [_step("J", ("V2", 1), ("C", 1))] if y else []
+    head = Tower("V2", "C", ["J"] if y else [])
     tower, tail, moving = _run_tower("U2", "C", _tower("G", b - 2, "E"))
     more, members, _ = _run_tower("Q3", "Q2", _tower("H", c, "F"))
-    model = _s3_base().blow_up(*steps, tower, more)
+    model = _s3_base().blow_up(head, tower, more)
     middle = tuple(reversed(members)) + ("L1", "M1", "L3")
     middle_w = (2,) * c + (3, 2, 2)
     big = ("Q1", "Q2", "C", "L2", "U1") + tuple(tail)

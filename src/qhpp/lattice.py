@@ -91,7 +91,7 @@ class CurveClass:
 class BlowupStep:
     """One blow-up: the tracked curves through the center with their local
     multiplicities there, plus a name for the new exceptional curve
-    (``E<n>`` by default)."""
+    (``E<n>`` by default).  The names become ``str``."""
 
     incidences: tuple[tuple[str, int], ...] = ()
     name: str | None = None
@@ -99,6 +99,8 @@ class BlowupStep:
     def __post_init__(self) -> None:
         inc = tuple((str(n), operator.index(m)) for n, m in self.incidences)
         object.__setattr__(self, "incidences", inc)
+        if self.name is not None:
+            object.__setattr__(self, "name", str(self.name))
         names = [n for n, _ in inc]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate curve in incidences: {names}")
@@ -111,15 +113,18 @@ class BlowupStep:
 class Tower:
     """One blow-up per name: the first at ``start & along``, each later one
     at the previous exceptional curve's meeting with ``along``, all with
-    multiplicity 1.  The names become ``str``, and ``along`` must differ
-    from ``start`` and from every name, so that no step names one curve
-    twice.  :meth:`SurfaceModel.blow_up` applies a tower in closed form."""
+    multiplicity 1.  ``names`` is a sequence of names, not one ``str``; the
+    names become ``str``, and ``along`` must differ from ``start`` and from
+    every name, so that no step names one curve twice.
+    :meth:`SurfaceModel.blow_up` applies a tower in closed form."""
 
     start: str
     along: str
     names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if isinstance(self.names, str):
+            raise TypeError(f"tower names are a sequence of names, got {self.names!r}")
         start, along = str(self.start), str(self.along)
         # from a list, not an iterator: CPython grows a tuple built from an
         # iterator by reallocation, outside its tuple free list, and frees

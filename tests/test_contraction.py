@@ -54,6 +54,19 @@ def test_contract_tower_chain():
     assert sing == CyclicSingularity(3, 2)
 
 
+def test_terms_hold_each_order_and_q_times_discrepancy():
+    # the model of test_pullback_with_nonzero_discrepancy: L is a (-3)-curve
+    m = tower_model()
+    m = blow(m, [("L", 1)], "B1")
+    contraction = contract(m, ContractionPlan((("A1", "A2"), ("L",))))
+    # d = (0, 0) on the du Val chain of order 3, d = 1/3 on L of order 3
+    assert dict(contraction.terms) == {"A1": (3, 0), "A2": (3, 0), "L": (3, 1)}
+    assert contraction.rho == 1 + 5 - 3
+    # A3 meets L and A2; B1 meets L; the two chains share the order 3
+    assert contraction.pullback_k_dot("A3") == Fraction(-2, 3)
+    assert contraction.pullback_k_dot("B1") == Fraction(-2, 3)
+
+
 def test_classify_refuses_higher_rank():
     m = tower_model()
     with pytest.raises(ValueError, match="rank"):

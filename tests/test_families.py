@@ -27,7 +27,7 @@ from qhpp.hjcf import (
     pattern_determinant,
 )
 from qhpp.kollar import KollarParams, singularity_types, weights
-from qhpp.lattice import BlowupStep, CurveClass, SurfaceModel
+from qhpp.lattice import BlowupStep, CurveClass, SurfaceModel, Tower
 
 
 def sign(x):
@@ -303,6 +303,24 @@ def test_shared_bases_are_built_once_and_never_change():
         tracked = build(family, params).model.tracked
         assert tracked[: len(base().tracked)] == base().tracked
     assert [(base().dual_graph().to_text(), base().tracked) for base in bases] == before
+
+
+def test_members_blow_up_only_towers_after_the_cached_base(monkeypatch):
+    families._s1_base()
+    families._s3_base()
+    calls = []
+    blow_up = SurfaceModel.blow_up
+
+    def record(self, *steps):
+        calls.append(steps)
+        return blow_up(self, *steps)
+
+    monkeypatch.setattr(SurfaceModel, "blow_up", record)
+    for family, spec in FAMILIES.items():
+        calls.clear()
+        build(family, [lo + 2 for lo in spec.least])
+        assert len(calls) == 1, family
+        assert all(type(step) is Tower for step in calls[0]), family
 
 
 def test_self_check_raises_build_check_error():

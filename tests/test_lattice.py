@@ -149,6 +149,25 @@ def test_tower_steps_equal_checked_steps():
     assert plane.blow_up(Tower("A", "L", [7])).curve("7") == CurveClass(0, (-1,))
 
 
+def test_tower_refuses_one_str_of_names():
+    # a str is one name, not a tower of one-character curves
+    with pytest.raises(TypeError, match="'E1'"):
+        Tower("A", "L", "E1")
+    with pytest.raises(TypeError, match="'B'"):
+        Tower("A", "L", "B")
+
+
+def test_step_name_becomes_str():
+    # a later step names the curve by its str, as incidences and towers do
+    step = BlowupStep((("A", 1), ("L", 1)), name=5)
+    assert step == BlowupStep((("A", 1), ("L", 1)), name="5")
+    model = SurfaceModel.plane({"A": 1, "L": 1}).blow_up(step)
+    assert model.tracked == ("A", "L", "5")
+    model = model.blow_up(BlowupStep((("5", 1),), name=6), Tower(6, "5", [7]))
+    assert model.tracked == ("A", "L", "5", "6", "7")
+    assert [model.self_int(nm) for nm in ("5", "6", "7")] == [-3, -2, -1]
+
+
 def test_tower_refuses_a_curve_named_twice():
     with pytest.raises(ValueError):
         Tower("L", "L", ["B"])
