@@ -56,7 +56,7 @@ class ContractionPlan:
         for chain in self.chains:
             if isinstance(chain, str):
                 raise TypeError(f"a chain is a sequence of curve names, got {chain!r}")
-        chains = tuple(tuple(str(nm) for nm in chain) for chain in self.chains)
+        chains = tuple([tuple([str(nm) for nm in chain]) for chain in self.chains])
         object.__setattr__(self, "chains", chains)
         names = [nm for chain in chains for nm in chain]
         if len(set(names)) != len(names):
@@ -154,26 +154,17 @@ def contract(model: SurfaceModel, plan: ContractionPlan) -> Contraction:
     Each chain contributes the singularity ``1/q(1, q1)`` with
     ``q = determinant(chain)`` and ``q/q1 = evaluate(chain)``; the Picard
     rank drops from ``1 + blowup_count`` by the number of contracted curves.
-    Chains that meet each other are refused.
+    Chains that meet each other are refused, after the shape refusals of
+    every chain.
 
-    Every chain is negative definite without a check: ``extract_chain``
-    requires self-intersections ``<= -2``, consecutive curves meeting once
-    and no other meetings, so up to sign the leading minors of a chain's
-    Gram matrix are continuants of entries ``>= 2``, which are positive.
+    Every chain is negative definite without a check:
+    ``SurfaceModel.extract_chains`` requires self-intersections ``<= -2``,
+    consecutive curves meeting once and no other meetings, so up to sign
+    the leading minors of a chain's Gram matrix are continuants of entries
+    ``>= 2``, which are positive.
     """
-    extracted = [model.extract_chain(chain) for chain in plan.chains]
     chains = plan.chains
-    where = {nm: (i, k) for i, chain in enumerate(chains) for k, nm in enumerate(chain)}
-    # the first meeting in (chain, later chain, curve, curve) order
-    meetings = [
-        (i, where[b][0], k, where[b][1], a, b)
-        for a, (i, k) in where.items()
-        for b in model.meets(a)
-        if b in where and where[b][0] > i
-    ]
-    if meetings:
-        *_, a, b = min(meetings)
-        raise ValueError(f"chains are not disjoint: {a!r} meets {b!r}")
+    extracted = model.extract_chains(chains)
     terms: dict[str, tuple[int, int]] = {}
     singularities = []
     for chain, w in zip(chains, extracted):

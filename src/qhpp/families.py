@@ -305,7 +305,7 @@ def check_params(family: str, params: Sequence[int]) -> FamilySpec:
 def build(family: str, params: Sequence[int]) -> FamilyBuild:
     """Build one member of a family in ``FAMILIES``; bad parameters (see
     :func:`check_params`) are refused before any blow-up."""
-    params = tuple(operator.index(x) for x in params)
+    params = tuple([operator.index(x) for x in params])
     spec = check_params(family, params)
     return FamilyBuild(family, params, *spec.script(*params))
 

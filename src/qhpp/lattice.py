@@ -29,8 +29,9 @@ name -> row table once per call, one pointer per tracked curve, and then
 each step costs, for ``k`` incident curves, ``O(k^2)`` table updates and a
 copy of their rows.  Models share the rows of curves that no step of the
 call passes through.  Intersection numbers are table lookups, and
-extracting a chain walks the rows of its curves; ``meets`` is a read-only
-view of a row, not a copy.  A :class:`Tower` step stands for a tower of
+extracting the chains of a plan walks the row of each listed curve once,
+checking every chain's shape and that no two chains meet; ``meets`` is a
+read-only view of a row, not a copy.  A :class:`Tower` step stands for a tower of
 blow-ups, one per name, each at the newest exceptional's meeting with one
 fixed curve; ``blow_up`` writes its final rows in closed form, with work
 linear in the names and one copy each of the two old rows it changes, and
@@ -45,6 +46,8 @@ smooth.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
+from itertools import accumulate, chain
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -74,7 +77,8 @@ class CurveClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "degree", operator.index(self.degree))
-        object.__setattr__(self, "mults", tuple(map(operator.index, self.mults)))
+        mults = tuple([operator.index(m) for m in self.mults])
+        object.__setattr__(self, "mults", mults)
 
     def dot(self, other: "CurveClass") -> int:
         if len(self.mults) != len(other.mults):
@@ -97,7 +101,7 @@ class BlowupStep:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        inc = tuple((str(n), operator.index(m)) for n, m in self.incidences)
+        inc = tuple([(str(n), operator.index(m)) for n, m in self.incidences])
         object.__setattr__(self, "incidences", inc)
         if self.name is not None:
             object.__setattr__(self, "name", str(self.name))
@@ -271,13 +275,19 @@ class SurfaceModel:
         """The plane with named curves of the given degrees.
 
         Curves listed in ``singular`` (e.g. a nodal cubic) are exempt from
-        the smooth-rational genus check until :meth:`declare_smooth`.
+        the smooth-rational genus check until :meth:`declare_smooth`.  The
+        names become ``str``; two that become the same ``str`` are refused.
         """
-        singular = frozenset(singular)
-        unknown = singular - set(degrees)
+        names = [str(name) for name in degrees]
+        if len(set(names)) != len(names):
+            raise ValueError(f"curve names collide as str: {names}")
+        singular = frozenset([str(name) for name in singular])
+        unknown = singular.difference(names)
         if unknown:
             raise ValueError(f"singular names not among curves: {sorted(unknown)}")
-        degrees = {name: operator.index(d) for name, d in degrees.items()}
+        degrees = {
+            name: operator.index(d) for name, d in zip(names, degrees.values())
+        }
         rows: dict[str, _Row] = {}
         for name, d in degrees.items():
             if d < 1:
@@ -435,38 +445,97 @@ class SurfaceModel:
         return DualGraph(vertices, tuple((a, b, w) for *_, a, b, w in edges))
 
     def extract_chain(self, names: Sequence[str]) -> HJFraction:
-        """Read an ordered curve chain as ``[-C1.C1, ..., -Cl.Cl]``.
+        """Read an ordered curve chain as ``[-C1.C1, ..., -Cl.Cl]``: the one
+        chain of :meth:`extract_chains`, with the same refusals."""
+        return self.extract_chains((names,))[0]
+
+    def extract_chains(
+        self, chains: Sequence[Sequence[str]]
+    ) -> tuple[HJFraction, ...]:
+        """Read ordered curve chains, each as ``[-C1.C1, ..., -Cl.Cl]``.
 
         Every listed curve must have self-intersection <= -2, consecutive
-        curves must meet exactly once and non-consecutive ones not at all.
-        Walks each curve's sparse row, so the cost is the chain length plus
-        the number of curves the chain curves meet.
+        curves of a chain must meet exactly once, non-consecutive ones not
+        at all, and curves of different chains not at all.  One name ->
+        index map covers every chain, and the row of each curve is walked
+        once: a chain is accepted when its consecutive pairs, each meeting
+        once and seen from both rows, are every meeting of its rows with a
+        listed curve.  Only the rows of a chain that is refused or meets
+        another chain are walked again, to find the pairing to name.
+
+        The chains are checked in order.  A chain is refused
+        (:class:`ChainShapeError`) if it is empty or repeats a curve of its
+        own or of an earlier chain, then (``KeyError``) if it names an
+        untracked curve, then if a curve has self-intersection > -2, then
+        if two curves pair wrongly (the first curve, then the first curve
+        it pairs wrongly with, in chain order).  Only when every chain
+        passes are chains that meet refused (``ValueError``), naming the
+        first meeting in (chain, later chain, position, position) order.
         """
-        if not names:
-            raise ChainShapeError("empty chain")
-        if len(set(names)) != len(names):
-            raise ChainShapeError(f"repeated curve in chain: {list(names)}")
-        rows = [self._row(nm) for nm in names]
-        entries = []
-        for nm, row in zip(names, rows):
-            s = row.self_int
-            if s > -2:
-                raise ChainShapeError(f"{nm!r} has self-intersection {s} > -2")
-            entries.append(-s)
-        position = {nm: i for i, nm in enumerate(names)}
-        for i, row in enumerate(rows):
-            # every later curve but the next one must be missing from the row
-            wrong = [position[b] for b in row.meets if position.get(b, i) > i + 1]
-            if i + 1 < len(names) and row.meets.get(names[i + 1]) != 1:
-                wrong.append(i + 1)
-            if wrong:
-                j = min(wrong)
-                w = row.meets.get(names[j], 0)
-                want = 1 if j == i + 1 else 0
-                raise ChainShapeError(
-                    f"{names[i]!r}.{names[j]!r} = {w}, expected {want}"
-                )
-        return HJFraction(tuple(entries))
+        flat = [nm for names in chains for nm in names]
+        # name -> index in flat; the first occurrence wins, so a chain that
+        # passes its own checks finds its own positions here
+        where = dict(zip(reversed(flat), range(len(flat) - 1, -1, -1)))
+        repeats = len(where) != len(flat)
+        contains = where.__contains__
+        # chain i holds flat[starts[i]:starts[i + 1]]
+        starts = list(accumulate(map(len, chains), initial=0))
+        meetings = []
+        out = []
+        for names, start, end in zip(chains, starts, starts[1:]):
+            if not names:
+                raise ChainShapeError("empty chain")
+            if repeats:
+                if len(set(names)) != len(names):
+                    raise ChainShapeError(f"repeated curve in chain: {list(names)}")
+                shared = [nm for nm in names if where[nm] < start]
+                if shared:
+                    raise ChainShapeError(f"chains share curves: {shared}")
+            rows = [self._row(nm) for nm in names]
+            entries = []
+            for nm, row in zip(names, rows):
+                s = row.self_int
+                if s > -2:
+                    raise ChainShapeError(f"{nm!r} has self-intersection {s} > -2")
+                entries.append(-s)
+            out.append(HJFraction(tuple(entries)))
+            # each consecutive pair that meets once is seen from both rows;
+            # a listed curve met beyond these is a wrong pairing or a meeting
+            tables = [row.meets for row in rows]
+            hits = sum(map(contains, chain.from_iterable(tables)))
+            ones = list(map(dict.get, tables, names[1:])).count(1)
+            if hits == 2 * ones == 2 * len(names) - 2:
+                continue
+            last = end - 1
+            for g, meets in enumerate(tables, start):
+                # a listed curve met past the next one of g's chain is a
+                # wrong pairing in that chain or a curve of a later chain
+                nxt = g + 1 if g < last else g
+                late = [where[b] for b in meets if where.get(b, g) > nxt]
+                if g < last and meets.get(flat[nxt]) != 1:
+                    late.append(nxt)
+                if not late:
+                    continue
+                j = min(late)
+                if j < end:
+                    w = meets.get(flat[j], 0)
+                    want = 1 if j == g + 1 else 0
+                    raise ChainShapeError(
+                        f"{flat[g]!r}.{flat[j]!r} = {w}, expected {want}"
+                    )
+                meetings += [(start, j, g) for j in late]
+        if meetings:
+
+            def order(meeting):
+                # (chain, later chain, position, position), each chain
+                # keyed by its start
+                a, j, g = meeting
+                b = starts[bisect_right(starts, j) - 1]
+                return a, b, g - a, j - b
+
+            _, j, g = min(meetings, key=order)
+            raise ValueError(f"chains are not disjoint: {flat[g]!r} meets {flat[j]!r}")
+        return tuple(out)
 
 
 def _check_new(rows: dict[str, _Row], incident, name: str) -> None:

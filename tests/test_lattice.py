@@ -38,6 +38,21 @@ def test_plane_validation():
     SurfaceModel.plane({"C": 3}, singular=("C",))
 
 
+def test_plane_names_become_str():
+    # an int name used to be tracked as an int that no step could name
+    m = SurfaceModel.plane({5: 1, "L": 1})
+    assert m.tracked == ("5", "L")
+    assert blow(m, [(5, 1), ("L", 1)]).intersect("5", "E1") == 1
+    assert m.blow_up(Tower(5, "L", ["P"])).meets("P") == {"5": 1, "L": 1}
+    cubic = SurfaceModel.plane({3: 3, "L": 1}, singular=[3])
+    assert cubic.smooth == {"L"}
+
+
+def test_plane_refuses_names_equal_as_str():
+    with pytest.raises(ValueError, match="collide as str"):
+        SurfaceModel.plane({5: 1, "5": 1})
+
+
 def test_no_constructor_from_dense_classes():
     # plane and blow_up are the only ways to make a model
     with pytest.raises(TypeError):

@@ -7,7 +7,9 @@ a step must be refused exactly when the reference finds a negative pairing
 or a smooth curve with ``C.C + C.K < -2``.  A whole script passed to one
 ``blow_up`` call must give the same table as one call per step, or the same
 error at the same step, and a ``Tower`` must give the same table as its
-steps written out, or the same error.
+steps written out, or the same error.  ``contract`` must give what a
+reference reading pairwise intersection numbers gives for plans of several
+chains, or the same refusal.
 """
 
 from operator import mul
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qhpp.contraction import ContractionPlan, contract
 from qhpp.lattice import (
     BlowupStep,
     ChainShapeError,
@@ -352,3 +355,156 @@ def test_triangle_of_minus_two_curves_is_not_a_chain():
     assert model.extract_chain(["L1", "L2"]).entries == (2, 2)
     with pytest.raises(ChainShapeError, match="'L1'.'L3' = 1, expected 0"):
         model.extract_chain(["L1", "L2", "L3"])
+
+
+# a chain of a plan: how it is drawn, a start, a length and indices.  A walk
+# follows (-2)-or-lower curves meeting once, from any such curve or, "after"
+# the previous chain, from one that chain meets; "low" takes any such
+# curves and "any" any names, the last candidate of both being unknown.
+# Names already in the plan are dropped, so a chain may have gaps or be empty
+CHAIN = st.tuples(
+    st.sampled_from(
+        ["walk"] * 9 + ["after"] * 5 + ["low"] * 3 + ["any"] * 2 + ["empty"]
+    ),
+    st.integers(0, 63),
+    st.integers(1, 5),
+    st.lists(st.integers(0, 63), min_size=5, max_size=5),
+)
+
+
+def draw_plan(model, chains):
+    tracked = list(model.tracked)
+    low = [nm for nm in tracked if model.self_int(nm) <= -2] or tracked
+    used = set()
+    plan = [()]
+
+    def step_from(nm):
+        met = model.meets(nm) if nm in tracked else {}
+        return [b for b, w in met.items() if w == 1 and b in low and b not in used]
+
+    for kind, start, length, picks in chains:
+        if kind in ("walk", "after"):
+            first = []
+            if kind == "after":
+                first = [b for a in plan[-1] for b in step_from(a)]
+            first = first or [nm for nm in low if nm not in used] or low
+            chain = [first[start % len(first)]]
+            for i in picks[: length - 1]:
+                step = [b for b in step_from(chain[-1]) if b not in chain]
+                if not step:
+                    break
+                chain.append(step[i % len(step)])
+        elif kind == "empty":
+            chain = []
+        else:
+            names = [*(low if kind == "low" else tracked), "U"]
+            chain = [names[(start + i) % len(names)] for i in picks[:length]]
+        chain = [nm for nm in dict.fromkeys(chain) if nm not in used]
+        used.update(chain)
+        plan.append(tuple(chain))
+    return tuple(plan[1:])
+
+
+def continuant(entries):
+    v, prev = 1, 0
+    for n in entries:
+        v, prev = n * v - prev, v
+    return v
+
+
+def ref_contract(model, chains):
+    """``(singularities as (q, q1, entries), rho, terms)`` from pairwise
+    intersection numbers, or the refusal ``contract`` must give: each chain
+    in order is refused if empty, naming an unknown curve, with a
+    self-intersection > -2 or with a wrong pairing; then the first meeting
+    of two chains in (chain, later chain, position, position) order."""
+    tracked = set(model.tracked)
+    for chain in chains:
+        if not chain:
+            raise ChainShapeError("empty chain")
+        for nm in chain:
+            if nm not in tracked:
+                raise KeyError(f"no tracked curve named {nm!r}")
+        for nm in chain:
+            s = model.self_int(nm)
+            if s > -2:
+                raise ChainShapeError(f"{nm!r} has self-intersection {s} > -2")
+        for i, a in enumerate(chain):
+            for j, b in enumerate(chain[i + 1 :], i + 1):
+                w, want = model.intersect(a, b), 1 if j == i + 1 else 0
+                if w != want:
+                    raise ChainShapeError(f"{a!r}.{b!r} = {w}, expected {want}")
+    for c, chain in enumerate(chains):
+        for later in chains[c + 1 :]:
+            for a in chain:
+                for b in later:
+                    if model.intersect(a, b):
+                        raise ValueError(f"chains are not disjoint: {a!r} meets {b!r}")
+    singularities, terms = [], {}
+    for chain in chains:
+        entries = tuple(-model.self_int(nm) for nm in chain)
+        q = continuant(entries)
+        singularities.append((q, continuant(entries[1:]), entries))
+        for j, nm in enumerate(chain):
+            u, v = continuant(entries[:j]), continuant(entries[j + 1 :])
+            terms[nm] = (q, q - u - v)
+    return singularities, 1 + model.blowup_count - len(terms), terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCRIPT, st.lists(CHAIN, min_size=1, max_size=3))
+def test_contract_matches_pairwise_reference(script, chains):
+    _, model = accepted_steps(script)
+    plan = ContractionPlan(draw_plan(model, chains))
+    try:
+        want = ref_contract(model, plan.chains)
+    except (KeyError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            contract(model, plan)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        got = contract(model, plan)
+        sings = [(s.q, s.q1, w.entries) for s, w in got.singularities]
+        assert (sings, got.rho, dict(got.terms)) == want
+
+
+def four_lines_in_two_chains():
+    """Four lines, all (-2)-curves, where only L1.L2, L1.L4 and L2.L3 are
+    left nonzero (each 1): the chain (L1, L2) meets L4 at its first curve
+    and L3 at its second."""
+    model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1})
+    return model.blow_up(
+        BlowupStep((("L1", 1), ("L3", 1))),
+        BlowupStep((("L2", 1), ("L4", 1))),
+        BlowupStep((("L3", 1), ("L4", 1))),
+        *(BlowupStep(((nm, 1),)) for nm in ("L1", "L1", "L2", "L2", "L3", "L4")),
+    )
+
+
+def test_shape_refusal_in_a_later_chain_wins_over_a_meeting():
+    model = four_lines_in_two_chains()
+    assert model.intersect("L2", "L3") == 1
+    plan = ContractionPlan((("L1", "L2"), ("L3",), ("L4", "E1")))
+    with pytest.raises(ChainShapeError, match="'E1' has self-intersection -1 > -2"):
+        contract(model, plan)
+
+
+def test_first_meeting_is_named_by_chain_before_position():
+    # (L1, L2) meets the third chain at position 0 and the second at
+    # position 1: the second chain comes first
+    model = four_lines_in_two_chains()
+    plan = ContractionPlan((("L1", "L2"), ("L3",), ("L4",)))
+    with pytest.raises(ValueError, match="not disjoint: 'L2' meets 'L3'$"):
+        contract(model, plan)
+    assert model.extract_chains((("L4", "L1"), ("L3",))) == (
+        model.extract_chain(("L4", "L1")),
+        model.extract_chain(("L3",)),
+    )
+
+
+def test_extract_chains_refuses_chains_that_share_a_curve():
+    model = four_lines_in_two_chains()
+    with pytest.raises(ChainShapeError, match=r"chains share curves: \['L2'\]"):
+        model.extract_chains((("L1", "L2"), ("L2", "L3")))
+    with pytest.raises(ChainShapeError, match="repeated curve in chain"):
+        model.extract_chains((("L3",), ("L1", "L1")))
