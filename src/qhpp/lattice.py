@@ -31,12 +31,12 @@ copy of their rows.  Models share the rows of curves that no step of the
 call passes through.  Intersection numbers are table lookups, and
 extracting the chains of a plan walks the row of each listed curve once,
 checking every chain's shape and that no two chains meet; ``meets`` is a
-read-only view of a row, not a copy.  A :class:`Tower` step stands for a tower of
-blow-ups, one per name, each at the newest exceptional's meeting with one
-fixed curve; ``blow_up`` writes its final rows in closed form, with work
-linear in the names and one copy each of the two old rows it changes, and
-gives the refusals its steps would give.  ``tracked`` gives the
-names; ``curve(name)`` rebuilds a dense :class:`CurveClass` from the
+read-only view of a row, not a copy.  A :class:`Tower` step stands for a
+tower of blow-ups, one per name, each at the newest exceptional's meeting
+with one fixed curve; ``blow_up`` writes its final rows in closed form,
+with work linear in the names and one copy each of the two old rows it
+changes, and gives the refusals its steps would give.  ``tracked`` gives
+the names; ``curve(name)`` rebuilds a dense :class:`CurveClass` from the
 curve's sparse multiplicities.  Exceptional curves are smooth rational, so
 a model stores only the few curves exempt from the genus check
 ``C.C + C.K = -2``: plane curves listed as singular and not yet declared
@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from itertools import accumulate, chain
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
