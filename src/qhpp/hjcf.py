@@ -60,7 +60,7 @@ class HJFraction:
     entries: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        entries = tuple(map(operator.index, self.entries))
+        entries = tuple([operator.index(n) for n in self.entries])
         if entries and min(entries) < 2:
             raise ValueError(f"chain entries must all be >= 2: {list(entries)}")
         object.__setattr__(self, "entries", entries)

@@ -397,7 +397,7 @@ def test_singularity_chain_roundtrip(pair):
     sing = CyclicSingularity(q, q1)
     chain = sing.chain()
     assert CyclicSingularity.from_chain(chain) == sing
-    # contract reads the type from its partial_orders pass instead
+    # contract reads the type from these order sequences instead
     po = partial_orders(chain)
     assert CyclicSingularity(po.order, po.v[1]) == CyclicSingularity.from_chain(chain)
     assert sing.is_presented_by(chain)
