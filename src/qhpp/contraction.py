@@ -24,7 +24,7 @@ from math import prod
 from types import MappingProxyType
 from typing import Mapping
 
-from .hjcf import CyclicSingularity, HJFraction
+from .hjcf import CyclicSingularity, HJFraction, order_sequences
 from .lattice import SurfaceModel
 
 __all__ = [
@@ -168,17 +168,11 @@ def contract(model: SurfaceModel, plan: ContractionPlan) -> Contraction:
     terms: dict[str, tuple[int, int]] = {}
     singularities = []
     for chain, w in zip(chains, extracted):
-        # the order sequences of hjcf.partial_orders as two lists: u[j] is
-        # the order of [n_1, ..., n_{j-1}] and v[l + 1 - j] that of
-        # [n_{j+1}, ..., n_l], both by u_{j+1} = n_j u_j - u_{j-1}
-        u, v = [0, 1], [0, 1]
-        for n, m in zip(w.entries, reversed(w.entries)):
-            u.append(n * u[-1] - u[-2])
-            v.append(m * v[-1] - v[-2])
+        # q d_j = q - u_j - v_j from the kernel of discrepancy_coefficients
+        u, v = order_sequences(w)
         q = u[-1]
-        # q d_j = q - u_j - v_j, as in hjcf.discrepancy_coefficients
-        for nm, u_j, v_j in zip(chain, u[1:-1], reversed(v[1:-1])):
+        for nm, u_j, v_j in zip(chain, u[1:-1], v[1:-1]):
             terms[nm] = (q, q - u_j - v_j)
-        singularities.append((CyclicSingularity(q, v[-2]), w))
+        singularities.append((CyclicSingularity(q, v[1]), w))
     rho = 1 + model.blowup_count - len(terms)
     return Contraction(model, tuple(singularities), rho, MappingProxyType(terms))

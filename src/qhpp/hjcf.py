@@ -10,10 +10,10 @@ Determinants, values and entry bumps come from one backward pass of the
 continuant recurrence ``v_{j-1} = n_j v_j - v_{j+1}`` (from ``v_l = 1``,
 ``v_{l+1} = 0``), which keeps only the last two terms: ``v_0 = |w|`` and
 ``v_1 = |[n2, ..., nl]|``, so ``evaluate(w) = v_0/v_1``.
-``CyclicSingularity.from_chain`` and ``is_presented_by`` read ``(q, q1)``
-from the same pass as integers, without building a ``Fraction``.  Only
-``partial_orders``, which ``discrepancy_coefficients`` reads, builds the
-whole sequences.
+``CyclicSingularity.from_chain`` reads ``(q, q1)`` from the same pass as
+integers, without building a ``Fraction``.  Only ``order_sequences``
+builds the whole sequences, for ``partial_orders``,
+``discrepancy_coefficients`` and ``contraction.contract``.
 
 The chains that ``expand``, ``reverse`` and ``make_pattern`` return are
 not checked again entry by entry: their entries are ints >= 2 by
@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "HJFraction",
@@ -37,6 +37,7 @@ __all__ = [
     "CyclicSingularity",
     "determinant",
     "evaluate",
+    "order_sequences",
     "partial_orders",
     "expand",
     "expansion_length",
@@ -104,14 +105,6 @@ class PartialOrders:
         return self.u[-1]
 
 
-def _u_sequence(entries: Iterable[int]) -> list[int]:
-    # u0 = 0, u1 = 1, u_{j+1} = n_j * u_j - u_{j-1}
-    u = [0, 1]
-    for n in entries:
-        u.append(n * u[-1] - u[-2])
-    return u
-
-
 def _continuants(entries: Sequence[int]) -> tuple[int, int]:
     """``(v_0, v_1) = (|[n1, ..., nl]|, |[n2, ..., nl]|)`` in one backward
     pass of ``v_{j-1} = n_j v_j - v_{j+1}``; the empty chain gives (1, 0)."""
@@ -135,12 +128,23 @@ def evaluate(w: HJFraction) -> Fraction:
     return Fraction(*_continuants(w.entries))
 
 
+def order_sequences(w: HJFraction) -> tuple[list[int], list[int]]:
+    """The lists ``(u, v)`` of :class:`PartialOrders`, in one loop over
+    the entries: ``u_{j+1} = n_j u_j - u_{j-1}`` from the front and the
+    mirror recurrence ``v_j = n_{j+1} v_{j+1} - v_{j+2}`` from the back."""
+    entries = w.entries
+    u, v = [0, 1], [0, 1]
+    for n, m in zip(entries, reversed(entries)):
+        u.append(n * u[-1] - u[-2])
+        v.append(m * v[-1] - v[-2])
+    v.reverse()
+    return u, v
+
+
 def partial_orders(w: HJFraction) -> PartialOrders:
     """Both order sequences of ``w``; see :class:`PartialOrders`."""
-    u = _u_sequence(w.entries)
-    # mirror recurrence v_j = n_{j+1} * v_{j+1} - v_{j+2}
-    v = _u_sequence(reversed(w.entries))
-    return PartialOrders(u=tuple(u), v=tuple(reversed(v)))
+    u, v = order_sequences(w)
+    return PartialOrders(tuple(u), tuple(v))
 
 
 def expand(q: int, q1: int) -> HJFraction:
@@ -248,9 +252,9 @@ def discrepancy_coefficients(w: HJFraction) -> tuple[Fraction, ...]:
     """
     if not w.entries:
         raise ValueError("the empty chain has no discrepancy coefficients")
-    po = partial_orders(w)
-    q = po.order
-    return tuple(Fraction(q - u - v, q) for u, v in zip(po.u[1:-1], po.v[1:-1]))
+    u, v = order_sequences(w)
+    q = u[-1]
+    return tuple(Fraction(q - u_j - v_j, q) for u_j, v_j in zip(u[1:-1], v[1:-1]))
 
 
 @dataclass(frozen=True)
@@ -280,12 +284,6 @@ class CyclicSingularity:
     def chain(self) -> HJFraction:
         """Canonical resolution chain, in ``expand`` orientation."""
         return expand(self.q, self.q1)
-
-    def is_presented_by(self, w: HJFraction) -> bool:
-        """True when ``w`` resolves this singularity read from either end."""
-        # the empty chain has order 1, and q >= 2
-        q, q1 = _continuants(w.entries)
-        return q == self.q and q1 in (self.q1, self.q1_inverse())
 
 
 def normalize_type(q: int, wa: int, wb: int) -> CyclicSingularity:

@@ -434,6 +434,8 @@ class SurfaceModel:
         from their sparse rows; edges are sorted by the positions of their ends."""
         if names is None:
             names = sorted(self._rows)
+        elif isinstance(names, str):
+            raise TypeError(f"names are a sequence of curve names, got {names!r}")
         vertices = tuple((nm, self.self_int(nm)) for nm in names)
         position = {nm: i for i, nm in enumerate(names)}
         edges = sorted(
@@ -463,14 +465,15 @@ class SurfaceModel:
         listed curve.  Only the rows of a chain that is refused or meets
         another chain are walked again, to find the pairing to name.
 
-        The chains are checked in order.  A chain is refused
-        (:class:`ChainShapeError`) if it is empty or repeats a curve of its
-        own or of an earlier chain, then (``KeyError``) if it names an
-        untracked curve, then if a curve has self-intersection > -2, then
-        if two curves pair wrongly (the first curve, then the first curve
-        it pairs wrongly with, in chain order).  Only when every chain
-        passes are chains that meet refused (``ValueError``), naming the
-        first meeting in (chain, later chain, position, position) order.
+        The chains are checked in order.  A chain is refused (``TypeError``)
+        if it is a ``str``, then (:class:`ChainShapeError`) if it is empty or
+        repeats a curve of its own or of an earlier chain, then
+        (``KeyError``) if it names an untracked curve, then if a curve has
+        self-intersection > -2, then if two curves pair wrongly (the first
+        curve, then the first curve it pairs wrongly with, in chain order).
+        Only when every chain passes are chains that meet refused
+        (``ValueError``), naming the first meeting in (chain, later chain,
+        position, position) order.
         """
         flat = [nm for names in chains for nm in names]
         # name -> index in flat; the first occurrence wins, so a chain that
@@ -483,6 +486,8 @@ class SurfaceModel:
         meetings = []
         out = []
         for names, start, end in zip(chains, starts, starts[1:]):
+            if isinstance(names, str):
+                raise TypeError(f"a chain is a sequence of curve names, got {names!r}")
             if not names:
                 raise ChainShapeError("empty chain")
             if repeats:

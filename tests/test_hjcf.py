@@ -17,6 +17,7 @@ from qhpp.hjcf import (
     expansion_length,
     make_pattern,
     normalize_type,
+    order_sequences,
     partial_orders,
     pattern_determinant,
     reverse,
@@ -400,25 +401,12 @@ def test_singularity_chain_roundtrip(pair):
     # contract reads the type from these order sequences instead
     po = partial_orders(chain)
     assert CyclicSingularity(po.order, po.v[1]) == CyclicSingularity.from_chain(chain)
-    assert sing.is_presented_by(chain)
-    assert sing.is_presented_by(reverse(chain))
     assert sing.q1 * sing.q1_inverse() % q == 1
 
 
 def test_from_chain_refuses_the_empty_chain():
     with pytest.raises(ValueError, match=r"^the empty chain has no rational value$"):
         CyclicSingularity.from_chain(HJFraction(()))
-
-
-def test_is_presented_by_rejects_the_empty_chain_and_wrong_orientations():
-    sing = CyclicSingularity(7, 2)
-    assert not sing.is_presented_by(HJFraction(()))
-    # [3, 2, 2] is 7/3, and 3 is neither q1 = 2 nor its inverse 4 mod 7
-    assert evaluate(HJFraction((3, 2, 2))) == Fraction(7, 3)
-    assert sing.q1_inverse() == 4
-    assert not sing.is_presented_by(HJFraction((3, 2, 2)))
-    assert sing.is_presented_by(expand(7, 2))
-    assert sing.is_presented_by(expand(7, 4))
 
 
 # --- single-pass kernels against list-based continuants ----------------------
@@ -445,6 +433,7 @@ def continuant_lists(entries):
 def test_single_pass_kernels_match_list_reference(entries):
     w = HJFraction(entries)
     u, v = continuant_lists(entries)
+    assert order_sequences(w) == (u, v)
     q = u[-1]
     assert v[0] == q
     assert determinant(w) == q

@@ -292,6 +292,36 @@ def test_extract_chain_shape_errors():
         m.extract_chain(["L", "A1"])
 
 
+def test_a_str_chain_is_refused_at_its_turn():
+    # C, A and B are one-letter names, so "CA" would read as the chain [C, A]
+    m = SurfaceModel.plane({"C": 1})
+    m = blow(m, [("C", 1)], "A")
+    m = blow(m, [("A", 1), ("C", 1)], "B")
+    m = blow(m, [("B", 1), ("C", 1)], "D")
+    assert m.extract_chain(["A", "B"]).entries == (2, 2)
+    for chain in ("CA", "AB", "L1"):
+        with pytest.raises(
+            TypeError, match=f"^a chain is a sequence of curve names, got '{chain}'$"
+        ):
+            m.extract_chain(chain)
+    # the refusals keep their chain-by-chain order
+    with pytest.raises(ChainShapeError, match="^empty chain$"):
+        m.extract_chains(([], "AB"))
+    with pytest.raises(TypeError):
+        m.extract_chains((["A", "B"], "AB"))
+    with pytest.raises(TypeError):
+        m.extract_chains(("AB", []))
+
+
+def test_dual_graph_refuses_a_str():
+    m = two_lines()
+    with pytest.raises(
+        TypeError, match="^names are a sequence of curve names, got 'L1'$"
+    ):
+        m.dual_graph("L1")
+    assert m.dual_graph(["L1"]).vertices == (("L1", 1),)
+
+
 def test_dual_graph_single_vertex():
     m = two_lines()
     g = m.dual_graph(["L1"])
