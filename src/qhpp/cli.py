@@ -250,6 +250,7 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    family_help = f"one of {', '.join(families.FAMILIES)}"
 
     p = sub.add_parser("eval", help="evaluate a chain: value, order, discrepancies")
     p.add_argument("entries", nargs="+", type=int, metavar="N")
@@ -266,7 +267,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_kollar)
 
     p = sub.add_parser("family", help="build one family member and classify it")
-    p.add_argument("family", choices=families.FAMILIES)
+    p.add_argument("family", help=family_help)
     p.add_argument("params", nargs="+", type=int, metavar="P")
     p.add_argument("--json", action="store_true", help="emit a JSON record")
     p.add_argument("--graph", metavar="PATH", help="write the dual graph as DOT")
@@ -276,7 +277,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("sweep", help="classify a family over parameter ranges")
-    p.add_argument("family")
+    p.add_argument("family", help=family_help)
     p.add_argument("ranges", nargs="+", metavar="LO..HI")
     p.add_argument("--format", choices=("csv", "json", "markdown"), default="csv")
     p.add_argument("--output", "-o", metavar="PATH")
@@ -286,7 +287,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run exhaustive invariant suites")
-    p.add_argument("suite", choices=(*verify.SUITE_NAMES, "all"))
+    p.add_argument("suite", help=f"one of all, {', '.join(verify.SUITE_NAMES)}")
     p.set_defaults(func=cmd_verify)
 
     return parser

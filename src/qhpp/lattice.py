@@ -29,26 +29,27 @@ name -> row table once per call, one pointer per tracked curve, and then
 each step costs, for ``k`` incident curves, ``O(k^2)`` table updates and a
 copy of their rows.  Models share the rows of curves that no step of the
 call passes through.  Intersection numbers are table lookups, and
-extracting the chains of a plan walks the row of each listed curve once,
-checking every chain's shape and that no two chains meet; ``meets`` is a
-read-only view of a row, not a copy.  A :class:`Tower` step stands for a
-tower of blow-ups, one per name, each at the newest exceptional's meeting
-with one fixed curve; ``blow_up`` writes its final rows in closed form,
-with work linear in the names and one copy each of the two old rows it
-changes, and gives the refusals its steps would give.  ``tracked`` gives
-the names; ``curve(name)`` rebuilds a dense :class:`CurveClass` from the
-curve's sparse multiplicities.  Exceptional curves are smooth rational, so
-a model stores only the few curves exempt from the genus check
-``C.C + C.K = -2``: plane curves listed as singular and not yet declared
-smooth.
+extracting the chains of a plan walks the row of each listed curve once
+against one set of the listed names, checking every chain's shape and that
+no two chains meet; only a chain that fails that walk is walked again,
+with each listed name's (chain, position), to name what it refuses.
+``meets`` is a read-only view of a row, not a copy.  A :class:`Tower` step
+stands for a tower of blow-ups, one per name, each at the newest
+exceptional's meeting with one fixed curve; ``blow_up`` writes its final
+rows in closed form, with work linear in the names and one copy each of
+the two old rows it changes, and gives the refusals its steps would give.
+``tracked`` gives the names; ``curve(name)`` rebuilds a dense
+:class:`CurveClass` from the curve's sparse multiplicities.  Exceptional
+curves are smooth rational, so a model stores only the few curves exempt
+from the genus check ``C.C + C.K = -2``: plane curves listed as singular
+and not yet declared smooth.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -275,12 +276,15 @@ class SurfaceModel:
         """The plane with named curves of the given degrees.
 
         Curves listed in ``singular`` (e.g. a nodal cubic) are exempt from
-        the smooth-rational genus check until :meth:`declare_smooth`.  The
-        names become ``str``; two that become the same ``str`` are refused.
+        the smooth-rational genus check until :meth:`declare_smooth`;
+        ``singular`` is a sequence of names, not one ``str``.  The names
+        become ``str``; two that become the same ``str`` are refused.
         """
         names = [str(name) for name in degrees]
         if len(set(names)) != len(names):
             raise ValueError(f"curve names collide as str: {names}")
+        if isinstance(singular, str):
+            raise TypeError(f"singular is a sequence of curve names, got {singular!r}")
         singular = frozenset([str(name) for name in singular])
         unknown = singular.difference(names)
         if unknown:
@@ -458,12 +462,12 @@ class SurfaceModel:
 
         Every listed curve must have self-intersection <= -2, consecutive
         curves of a chain must meet exactly once, non-consecutive ones not
-        at all, and curves of different chains not at all.  One name ->
-        index map covers every chain, and the row of each curve is walked
-        once: a chain is accepted when its consecutive pairs, each meeting
-        once and seen from both rows, are every meeting of its rows with a
-        listed curve.  Only the rows of a chain that is refused or meets
-        another chain are walked again, to find the pairing to name.
+        at all, and curves of different chains not at all.  The row of each
+        curve is walked once against one set of every listed name: a chain
+        is accepted when its consecutive pairs, each meeting once and seen
+        from both rows, are every meeting of its rows with a listed curve.
+        Only the rows of a chain that fails this walk are walked again,
+        through a name -> (chain, position) map, to find the pairing to name.
 
         The chains are checked in order.  A chain is refused (``TypeError``)
         if it is a ``str``, then (:class:`ChainShapeError`) if it is empty or
@@ -475,27 +479,24 @@ class SurfaceModel:
         (``ValueError``), naming the first meeting in (chain, later chain,
         position, position) order.
         """
-        flat = [nm for names in chains for nm in names]
-        # name -> index in flat; the first occurrence wins, so a chain that
-        # passes its own checks finds its own positions here
-        where = dict(zip(reversed(flat), range(len(flat) - 1, -1, -1)))
-        repeats = len(where) != len(flat)
-        contains = where.__contains__
-        # chain i holds flat[starts[i]:starts[i + 1]]
-        starts = list(accumulate(map(len, chains), initial=0))
+        listed = set(chain.from_iterable(chains))
+        # the names of earlier chains, kept only when some name repeats
+        earlier = set() if len(listed) != sum(map(len, chains)) else None
+        where = None  # name -> (chain, position); the first occurrence wins
         meetings = []
         out = []
-        for names, start, end in zip(chains, starts, starts[1:]):
+        for c, names in enumerate(chains):
             if isinstance(names, str):
                 raise TypeError(f"a chain is a sequence of curve names, got {names!r}")
             if not names:
                 raise ChainShapeError("empty chain")
-            if repeats:
+            if earlier is not None:
                 if len(set(names)) != len(names):
                     raise ChainShapeError(f"repeated curve in chain: {list(names)}")
-                shared = [nm for nm in names if where[nm] < start]
+                shared = [nm for nm in names if nm in earlier]
                 if shared:
                     raise ChainShapeError(f"chains share curves: {shared}")
+                earlier.update(names)
             rows = [self._row(nm) for nm in names]
             entries = []
             for nm, row in zip(names, rows):
@@ -507,39 +508,35 @@ class SurfaceModel:
             # each consecutive pair that meets once is seen from both rows;
             # a listed curve met beyond these is a wrong pairing or a meeting
             tables = [row.meets for row in rows]
-            hits = sum(map(contains, chain.from_iterable(tables)))
+            hits = sum(map(listed.__contains__, chain.from_iterable(tables)))
             ones = list(map(dict.get, tables, names[1:])).count(1)
             if hits == 2 * ones == 2 * len(names) - 2:
                 continue
-            last = end - 1
-            for g, meets in enumerate(tables, start):
-                # a listed curve met past the next one of g's chain is a
-                # wrong pairing in that chain or a curve of a later chain
-                nxt = g + 1 if g < last else g
-                late = [where[b] for b in meets if where.get(b, g) > nxt]
-                if g < last and meets.get(flat[nxt]) != 1:
-                    late.append(nxt)
-                if not late:
-                    continue
-                j = min(late)
-                if j < end:
-                    w = meets.get(flat[j], 0)
-                    want = 1 if j == g + 1 else 0
+            if where is None:
+                where = {}
+                for k, names_k in enumerate(chains):
+                    for p, nm in enumerate(names_k):
+                        where.setdefault(nm, (k, p))
+            for g, meets in enumerate(tables):
+                # listed curves past g's next one: in this chain a wrong
+                # pairing, in a later chain a meeting
+                late = [where[b] for b in meets if where.get(b, (c, g)) > (c, g + 1)]
+                wrong = [p for k, p in late if k == c]
+                if g + 1 < len(names) and meets.get(names[g + 1]) != 1:
+                    wrong.append(g + 1)
+                if wrong:
+                    p = min(wrong)
+                    w = meets.get(names[p], 0)
+                    want = 1 if p == g + 1 else 0
                     raise ChainShapeError(
-                        f"{flat[g]!r}.{flat[j]!r} = {w}, expected {want}"
+                        f"{names[g]!r}.{names[p]!r} = {w}, expected {want}"
                     )
-                meetings += [(start, j, g) for j in late]
+                meetings += [(c, k, g, p) for k, p in late]
         if meetings:
-
-            def order(meeting):
-                # (chain, later chain, position, position), each chain
-                # keyed by its start
-                a, j, g = meeting
-                b = starts[bisect_right(starts, j) - 1]
-                return a, b, g - a, j - b
-
-            _, j, g = min(meetings, key=order)
-            raise ValueError(f"chains are not disjoint: {flat[g]!r} meets {flat[j]!r}")
+            c, k, g, p = min(meetings)
+            raise ValueError(
+                f"chains are not disjoint: {chains[c][g]!r} meets {chains[k][p]!r}"
+            )
         return tuple(out)
 
 

@@ -285,6 +285,26 @@ def test_sweep_bad_spec(capsys):
     assert run(capsys, "sweep", "S1", "1..3")[0] == 1
 
 
+def test_unknown_ids_are_refused_by_their_tables(capsys, monkeypatch):
+    # one refusal per input: the family and suite tables, not argparse
+    monkeypatch.setenv("COLUMNS", "100")  # no help line wraps
+    known = ", ".join(families.FAMILIES)
+    want = (1, "", f"error: unknown family 'nope'; known: {known}\n")
+    assert run(capsys, "family", "nope", "3") == want
+    assert run(capsys, "sweep", "nope", "2..4") == want
+    known = ", ".join(verify.SUITE_NAMES)
+    want = (1, "", f"error: unknown suite 'nope'; known: all, {known}\n")
+    assert run(capsys, "verify", "nope") == want
+    for command, names in (
+        ("family", families.FAMILIES),
+        ("sweep", families.FAMILIES),
+        ("verify", ("all", *verify.SUITE_NAMES)),
+    ):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        assert f"one of {', '.join(names)}\n" in capsys.readouterr().out
+
+
 def test_verify_hjcf_and_kollar(capsys):
     code, out, _ = run(capsys, "verify", "hjcf")
     assert code == 0

@@ -48,6 +48,16 @@ def test_plane_names_become_str():
     assert cubic.smooth == {"L"}
 
 
+def test_plane_refuses_a_str_of_singular_names():
+    # a str is not read as one-letter names: "CL" used to exempt C and L
+    for degrees in ({"C": 3, "L": 3}, {"CL": 3}):
+        with pytest.raises(
+            TypeError, match="^singular is a sequence of curve names, got 'CL'$"
+        ):
+            SurfaceModel.plane(degrees, singular="CL")
+    assert SurfaceModel.plane({"CL": 3}, singular=["CL"]).smooth == frozenset()
+
+
 def test_plane_refuses_names_equal_as_str():
     with pytest.raises(ValueError, match="collide as str"):
         SurfaceModel.plane({5: 1, "5": 1})

@@ -508,3 +508,61 @@ def test_extract_chains_refuses_chains_that_share_a_curve():
         model.extract_chains((("L1", "L2"), ("L2", "L3")))
     with pytest.raises(ChainShapeError, match="repeated curve in chain"):
         model.extract_chains((("L3",), ("L1", "L1")))
+
+
+def test_first_wrong_pairing_names_the_smaller_position():
+    # in (L1, L3, L2), L1 misses its neighbour L3 (position 1) and meets
+    # L2 (position 2): the smaller position is named
+    model = four_lines_in_two_chains()
+    with pytest.raises(ChainShapeError, match="^'L1'.'L3' = 0, expected 1$"):
+        model.extract_chain(("L1", "L3", "L2"))
+    with pytest.raises(ChainShapeError, match="^'L1'.'L2' = 1, expected 0$"):
+        model.extract_chain(("L1", "L4", "L2"))
+
+
+def test_first_meeting_is_named_by_position_in_the_earlier_chain():
+    # four (-2)-lines where only L1.L2, L3.L4, L1.L4 and L2.L3 are left
+    # nonzero: (L1, L2) meets (L3, L4) at positions (0, 1) and (1, 0)
+    model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1}).blow_up(
+        BlowupStep((("L1", 1), ("L3", 1))),
+        BlowupStep((("L2", 1), ("L4", 1))),
+        *(BlowupStep(((nm, 1),)) for nm in ("L1", "L2", "L3", "L4") for _ in range(2)),
+    )
+    with pytest.raises(ValueError, match="^chains are not disjoint: 'L1' meets 'L4'$"):
+        model.extract_chains((("L1", "L2"), ("L3", "L4")))
+    with pytest.raises(ValueError, match="^chains are not disjoint: 'L2' meets 'L3'$"):
+        model.extract_chains((("L2", "L1"), ("L3", "L4")))
+
+
+def test_str_chain_is_refused_at_its_turn_after_a_meeting_with_its_letters():
+    # the first chain (A, B) meets D, a letter of the later str chain "DC"
+    m = SurfaceModel.plane({"C": 1})
+    m = m.blow_up(
+        BlowupStep((("C", 1),), "A"),
+        BlowupStep((("A", 1), ("C", 1)), "B"),
+        BlowupStep((("B", 1), ("C", 1)), "D"),
+    )
+    assert m.intersect("B", "D") == 1
+    refusal = "^a chain is a sequence of curve names, got 'DC'$"
+    for later in ((), ((),), (("D",),)):
+        with pytest.raises(TypeError, match=refusal):
+            m.extract_chains((("A", "B"), "DC", *later))
+    with pytest.raises(ChainShapeError, match="^empty chain$"):
+        m.extract_chains((("A", "B"), (), "DC"))
+
+
+def test_repeat_is_refused_at_the_chain_that_repeats():
+    # L2 repeats, but the chain that holds it first passes
+    model = four_lines_in_two_chains()
+    with pytest.raises(ChainShapeError, match=r"^chains share curves: \['L2'\]$"):
+        model.extract_chains((("L1", "L2"), ("L3",), ("L4", "L2")))
+    # a later refusal of another kind in a chain in between comes first
+    with pytest.raises(ChainShapeError, match="^'E1' has self-intersection -1 > -2$"):
+        model.extract_chains((("L1", "L2"), ("L3", "E1"), ("L4", "L2")))
+    with pytest.raises(KeyError, match="'X'"):
+        model.extract_chains((("L1", "L2"), ("X",), ("L2",)))
+    # a repeat inside a chain is named before a curve it shares
+    with pytest.raises(
+        ChainShapeError, match=r"^repeated curve in chain: \['L3', 'L1', 'L3'\]$"
+    ):
+        model.extract_chains((("L1", "L2"), ("L3", "L1", "L3")))
