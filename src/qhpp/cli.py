@@ -9,9 +9,7 @@ behind ``--approx`` and are marked as approximate.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -202,22 +200,17 @@ def cmd_sweep(args) -> int:
         text = json.dumps(records, indent=2) + "\n"
     else:
         header = [*names, "orders", "rho", "k_class", "k_value"]
-        body = [_row_cells(fb, rep, args.approx) for fb, rep in rows]
-        if args.format == "csv":
-            if args.approx:
-                header.append("k_value_approx")
-            buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\n").writerows([header, *body])
-            text = buffer.getvalue()
+        if args.approx:
+            header.append(
+                "k_value_approx" if args.format == "csv" else "k_value (approx.)"
+            )
+        table = [header, *(_row_cells(fb, rep, args.approx) for fb, rep in rows)]
+        if args.format == "csv":  # no cell holds a comma, a quote or a line break
+            lines = [",".join(cells) for cells in table]
         else:  # markdown
-            if args.approx:
-                header.append("k_value (approx.)")
-            lines = [
-                "| " + " | ".join(header) + " |",
-                "|" + "|".join(" --- " for _ in header) + "|",
-                *("| " + " | ".join(cells) + " |" for cells in body),
-            ]
-            text = "\n".join(lines) + "\n"
+            lines = ["| " + " | ".join(cells) + " |" for cells in table]
+            lines.insert(1, "|" + "|".join(" --- " for _ in header) + "|")
+        text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)

@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .hjcf import CyclicSingularity, HJFraction, order_sequences
-from .lattice import SurfaceModel
+from .lattice import ChainShapeError, SurfaceModel
 
 __all__ = [
     "KClass",
@@ -47,7 +47,8 @@ class ContractionPlan:
     """Ordered chains of curve names to contract.
 
     Each chain must be a full connected component of the contracted locus:
-    chains may not share curves or meet each other.
+    chains may not share curves or meet each other.  A curve named twice is
+    refused here, as :meth:`~qhpp.lattice.SurfaceModel.extract_chains` would.
     """
 
     chains: tuple[tuple[str, ...], ...]
@@ -60,7 +61,14 @@ class ContractionPlan:
         object.__setattr__(self, "chains", chains)
         names = [nm for chain in chains for nm in chain]
         if len(set(names)) != len(names):
-            raise ValueError("contraction chains share curves")
+            # the first repeat in chain order, in extract_chains' words
+            earlier: set[str] = set()
+            for chain in chains:
+                if len(set(chain)) != len(chain):
+                    raise ChainShapeError(f"repeated curve in chain: {list(chain)}")
+                if shared := [nm for nm in chain if nm in earlier]:
+                    raise ChainShapeError(f"chains share curves: {shared}")
+                earlier.update(chain)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from functools import cache, partial
 from typing import Callable, Sequence
 
 from .contraction import Contraction, ContractionPlan, QhppReport, contract
-from .hjcf import HJFraction, make_pattern, reverse
+from .hjcf import HJFraction, make_pattern
 from .lattice import BlowupStep, SurfaceModel, Tower
 
 __all__ = [
@@ -71,7 +71,8 @@ class BuildCheckError(Exception):
 class FamilyBuild:
     """A scripted surface model with its contraction plan and bookkeeping.
 
-    The plan is contracted once, at construction, into ``contraction``;
+    The plan is contracted once, at construction, into ``contraction``, and
+    each chain must equal its template in the plan's orientation;
     :meth:`classify` reads it with ``test_curve``, and
     ``contraction.pullback_k_dot(name)`` gives ``E . f*(K)`` for any
     non-contracted curve.
@@ -97,7 +98,7 @@ class FamilyBuild:
                 f"expected {len(self.expected_chains)}"
             )
         for got, want in zip(extracted, self.expected_chains):
-            if got != want and got != reverse(want):
+            if got != want:
                 raise BuildCheckError(
                     f"{self.family}{self.params}: extracted {got}, expected {want}"
                 )
@@ -122,8 +123,8 @@ class FamilySpec:
 
     ``script(*params)`` returns ``(model, plan, test_curve, expected_chains)``
     in :class:`FamilyBuild` field order; ``expected_chains`` is the template
-    of the chain strings the plan must contract to (either orientation).  It
-    assumes parameters that :func:`check_params` passed.
+    of the chain strings the plan must contract to, in the plan's
+    orientation.  It assumes parameters that :func:`check_params` passed.
     """
 
     names: tuple[str, ...]
@@ -137,23 +138,20 @@ def _step(name: str, *incidences: tuple[str, int]) -> BlowupStep:
     return BlowupStep(incidences, name=name)
 
 
-def _tower(stem: str, count: int, last: str) -> list[str]:
-    """The names of a ``count``-step tower: ``stem1, ..., stem<count-1>, last``."""
-    return [f"{stem}{j}" for j in range(1, count)] + [last] if count else []
-
-
-def _run_tower(
-    start: str, along: str, names: Sequence[str]
+def _tower(
+    start: str, along: str, stem: str, count: int, last: str
 ) -> tuple[Tower, list[str], str]:
-    """One blow-up per name, first at ``start & along`` and then always at
-    the newest exceptional's meeting with ``along`` (see
+    """A ``count``-step tower named ``stem1, ..., stem<count-1>, last``: one
+    blow-up per name, first at ``start & along`` and then always at the
+    newest exceptional's meeting with ``along`` (see
     :class:`~qhpp.lattice.Tower`).
 
     Returns ``(tower, members, moving)`` where ``members`` are the curves
     the tower pushes to self-intersection -2 (innermost first, starting with
     ``start``) and ``moving`` is the final (-1)-curve (``start`` itself when
-    ``names`` is empty).
+    ``count`` is 0).
     """
+    names = [f"{stem}{j}" for j in range(1, count)] + [last] if count else []
     chain = [start, *names]
     return Tower(start, along, names), chain[:-1], chain[-1]
 
@@ -213,8 +211,8 @@ def _script_s1(b: int, c: int = 2, deep: str = "A"):
     ``deep = "B"``) the same way, c - 2 times, so the template holds c
     where ``{deep}2`` sits on the spine.
     """
-    tower, tail, moving = _run_tower("D3", "D2", _tower("G", b - 2, "E"))
-    more, members, _ = _run_tower(f"{deep}3", f"{deep}2", _tower("H", c - 2, "F"))
+    tower, tail, moving = _tower("D3", "D2", "G", b - 2, "E")
+    more, members, _ = _tower(f"{deep}3", f"{deep}2", "H", c - 2, "F")
     model = _s1_base().blow_up(tower, more)
     chain = tuple(reversed(members)) + _S1_SPINE + tuple(tail)
     spine = [3, b, 2, 2, 2, 2, 2, 2, 2, 3]
@@ -253,8 +251,8 @@ def _script_s3(b: int, c: int = 0, y: bool = False):
     towers deepen P'' (on Q2) c times and, for Y, P' (V2 & C) once.
     """
     head = Tower("V2", "C", ["J"] if y else [])
-    tower, tail, moving = _run_tower("U2", "C", _tower("G", b - 2, "E"))
-    more, members, _ = _run_tower("Q3", "Q2", _tower("H", c, "F"))
+    tower, tail, moving = _tower("U2", "C", "G", b - 2, "E")
+    more, members, _ = _tower("Q3", "Q2", "H", c, "F")
     model = _s3_base().blow_up(head, tower, more)
     middle = tuple(reversed(members)) + ("L1", "M1", "L3")
     middle_w = (2,) * c + (3, 2, 2)

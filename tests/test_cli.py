@@ -283,6 +283,33 @@ def test_sweep_bad_spec(capsys):
     assert run(capsys, "sweep", "S3", "2..4", "2..4")[0] == 1
     assert run(capsys, "sweep", "nope", "2..4")[0] == 1
     assert run(capsys, "sweep", "S1", "1..3")[0] == 1
+    want = (1, "", "error: bad range 'x..2'; expected N or LO..HI\n")
+    assert run(capsys, "sweep", "S3", "x..2") == want
+
+
+def test_sweep_approx_bytes(capsys):
+    # the whole table, header to last row: one anti-ample, one trivial and
+    # two ample members of S3
+    argv = ("sweep", "S3", "4..7", "--approx", "--format")
+    assert run(capsys, *argv, "csv") == (
+        0,
+        "b,orders,rho,k_class,k_value,k_value_approx\n"
+        "4,2;7;38,1,AntiAmple,-1/19,-0.0526316\n"
+        "5,2;7;63,1,NumericallyTrivial,0/1,0\n"
+        "6,2;7;94,1,Ample,1/47,0.0212766\n"
+        "7,2;7;131,1,Ample,4/131,0.0305344\n",
+        "",
+    )
+    assert run(capsys, *argv, "markdown") == (
+        0,
+        "| b | orders | rho | k_class | k_value | k_value (approx.) |\n"
+        "| --- | --- | --- | --- | --- | --- |\n"
+        "| 4 | 2;7;38 | 1 | AntiAmple | -1/19 | -0.0526316 |\n"
+        "| 5 | 2;7;63 | 1 | NumericallyTrivial | 0/1 | 0 |\n"
+        "| 6 | 2;7;94 | 1 | Ample | 1/47 | 0.0212766 |\n"
+        "| 7 | 2;7;131 | 1 | Ample | 4/131 | 0.0305344 |\n",
+        "",
+    )
 
 
 def test_unknown_ids_are_refused_by_their_tables(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from qhpp.contraction import ContractionPlan, KClass, contract
 from qhpp.hjcf import CyclicSingularity
-from qhpp.lattice import BlowupStep, SurfaceModel
+from qhpp.lattice import BlowupStep, ChainShapeError, SurfaceModel
 
 
 def blow(model, incidences, name=None):
@@ -32,6 +32,29 @@ def test_plan_validation():
         ContractionPlan(("L1", "M2"))
     with pytest.raises(TypeError, match="'AB'"):
         ContractionPlan(("AB",))
+
+
+@pytest.mark.parametrize(
+    "chains, message",
+    [
+        ((("A1", "A2"), ("A2", "L")), "chains share curves: ['A2']"),
+        ((("A1", "A2"), ("L", "L")), "repeated curve in chain: ['L', 'L']"),
+        ((("A1", "A1", "A2"),), "repeated curve in chain: ['A1', 'A1', 'A2']"),
+        # a chain's own repeat first, then the chains before it, in chain order
+        ((("A1", "A2"), ("L", "A2", "L")), "repeated curve in chain: ['L', 'A2', 'L']"),
+        ((("A1",), ("A1",), ("L", "L")), "chains share curves: ['A1']"),
+    ],
+)
+def test_plan_refuses_a_repeat_in_extract_chains_words(chains, message):
+    m = tower_model()
+    for refuse in (
+        lambda: ContractionPlan(chains),
+        lambda: contract(m, ContractionPlan(chains)),
+        lambda: m.extract_chains(chains),
+    ):
+        with pytest.raises(ChainShapeError) as info:
+            refuse()
+        assert str(info.value) == message
 
 
 def test_empty_plan_on_plane():

@@ -25,6 +25,7 @@ from qhpp.hjcf import (
     expand,
     make_pattern,
     pattern_determinant,
+    reverse,
 )
 from qhpp.kollar import KollarParams, singularity_types, weights
 from qhpp.lattice import BlowupStep, CurveClass, SurfaceModel, Tower
@@ -335,6 +336,24 @@ def test_self_check_raises_build_check_error():
     meeting = ContractionPlan((("L1",), ("M1",)))
     with pytest.raises(BuildCheckError, match="not disjoint"):
         FamilyBuild(fb.family, fb.params, fb.model, meeting, fb.test_curve, wrong[:2])
+
+
+def test_self_check_refuses_a_plan_short_of_rank_one():
+    # S3(6) without its lone (-2)-curve V1 and its [2] template
+    fb = build_S3(6)
+    plan = ContractionPlan(fb.plan.chains[1:])
+    with pytest.raises(BuildCheckError, match=r"^S3\(6,\): rho = 2, not 1$"):
+        FamilyBuild(
+            fb.family, fb.params, fb.model, plan, fb.test_curve, fb.expected_chains[1:]
+        )
+
+
+def test_templates_are_written_in_the_plan_orientation():
+    # the check compares each extracted chain with its template as written
+    fb = build_S3(4)
+    backwards = fb.expected_chains[:2] + (reverse(fb.expected_chains[2]),)
+    with pytest.raises(BuildCheckError, match="extracted"):
+        FamilyBuild(fb.family, fb.params, fb.model, fb.plan, fb.test_curve, backwards)
 
 
 # two members of each of the seven families

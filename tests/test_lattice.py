@@ -376,6 +376,18 @@ def test_dual_graph_isomorphism():
     )
     assert not path.is_isomorphic_to(star)
     assert not star.is_isomorphic_to(path)
+    # a vertex more, or the same vertices with an edge less
+    assert not g.is_isomorphic_to(path) and not path.is_isomorphic_to(g)
+    cut = DualGraph(relabeled.vertices, relabeled.edges[:1])
+    assert not g.is_isomorphic_to(cut) and not cut.is_isomorphic_to(g)
+
+
+def test_surface_model_refuses_assignment():
+    m = two_lines()
+    message = "^cannot assign to 'blowup_count': SurfaceModel is immutable$"
+    with pytest.raises(AttributeError, match=message):
+        m.blowup_count = 3
+    assert m.blowup_count == 0
 
 
 def test_dual_graph_reads_rows_not_pairs(monkeypatch):
