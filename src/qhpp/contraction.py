@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .hjcf import CyclicSingularity, HJFraction, order_sequences
-from .lattice import ChainShapeError, SurfaceModel
+from .lattice import SurfaceModel, refuse_repeats
 
 __all__ = [
     "KClass",
@@ -48,7 +48,8 @@ class ContractionPlan:
 
     Each chain must be a full connected component of the contracted locus:
     chains may not share curves or meet each other.  A curve named twice is
-    refused here, as :meth:`~qhpp.lattice.SurfaceModel.extract_chains` would.
+    refused here, with :func:`~qhpp.lattice.refuse_repeats` as
+    :meth:`~qhpp.lattice.SurfaceModel.extract_chains` would.
     """
 
     chains: tuple[tuple[str, ...], ...]
@@ -57,18 +58,23 @@ class ContractionPlan:
         for chain in self.chains:
             if isinstance(chain, str):
                 raise TypeError(f"a chain is a sequence of curve names, got {chain!r}")
-        chains = tuple([tuple([str(nm) for nm in chain]) for chain in self.chains])
+        # a tuple or list of exact strs needs no str call (the type test
+        # runs in C)
+        chains = tuple(
+            [
+                tuple(chain)
+                if type(chain) in (tuple, list)
+                and list(map(type, chain)).count(str) == len(chain)
+                else tuple([str(nm) for nm in chain])
+                for chain in self.chains
+            ]
+        )
         object.__setattr__(self, "chains", chains)
-        names = [nm for chain in chains for nm in chain]
-        if len(set(names)) != len(names):
+        if len(set().union(*chains)) != sum(map(len, chains)):
             # the first repeat in chain order, in extract_chains' words
             earlier: set[str] = set()
             for chain in chains:
-                if len(set(chain)) != len(chain):
-                    raise ChainShapeError(f"repeated curve in chain: {list(chain)}")
-                if shared := [nm for nm in chain if nm in earlier]:
-                    raise ChainShapeError(f"chains share curves: {shared}")
-                earlier.update(chain)
+                refuse_repeats(chain, earlier)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,15 @@ class HJFraction:
     entries: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        entries = tuple([operator.index(n) for n in self.entries])
+        entries = self.entries
+        # a tuple or list of exact ints needs no operator.index call; the
+        # type test runs in C, and the entries are checked below either way
+        if (
+            type(entries) not in (tuple, list)
+            or list(map(type, entries)).count(int) != len(entries)
+        ):
+            entries = [operator.index(n) for n in entries]
+        entries = tuple(entries)
         if entries and min(entries) < 2:
             raise ValueError(f"chain entries must all be >= 2: {list(entries)}")
         object.__setattr__(self, "entries", entries)
@@ -130,13 +138,19 @@ def evaluate(w: HJFraction) -> Fraction:
 
 def order_sequences(w: HJFraction) -> tuple[list[int], list[int]]:
     """The lists ``(u, v)`` of :class:`PartialOrders`, in one loop over
-    the entries: ``u_{j+1} = n_j u_j - u_{j-1}`` from the front and the
-    mirror recurrence ``v_j = n_{j+1} v_{j+1} - v_{j+2}`` from the back."""
+    the entries each way: ``u_{j+1} = n_j u_j - u_{j-1}`` from the front
+    and the mirror recurrence ``v_j = n_{j+1} v_{j+1} - v_{j+2}`` from the
+    back, each keeping its last two terms in locals."""
     entries = w.entries
     u, v = [0, 1], [0, 1]
-    for n, m in zip(entries, reversed(entries)):
-        u.append(n * u[-1] - u[-2])
-        v.append(m * v[-1] - v[-2])
+    a, b = 0, 1
+    for n in entries:
+        a, b = b, n * b - a
+        u.append(b)
+    a, b = 0, 1
+    for n in reversed(entries):
+        a, b = b, n * b - a
+        v.append(b)
     v.reverse()
     return u, v
 

@@ -9,7 +9,10 @@ or a smooth curve with ``C.C + C.K < -2``.  A whole script passed to one
 error at the same step, and a ``Tower`` must give the same table as its
 steps written out, or the same error.  ``contract`` must give what a
 reference reading pairwise intersection numbers gives for plans of several
-chains, or the same refusal.
+chains, or the same refusal.  Scripts that mix steps and towers, with later
+steps and towers through the curves of earlier towers, must give the table
+of their towers written out as steps, and plans over those curves the
+reference's result or refusal.
 """
 
 from operator import mul
@@ -462,6 +465,151 @@ def test_contract_matches_pairwise_reference(script, chains):
         with pytest.raises(type(exc)) as info:
             contract(model, plan)
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        got = contract(model, plan)
+        sings = [(s.q, s.q1, w.entries) for s, w in got.singularities]
+        assert (sings, got.rho, dict(got.terms)) == want
+
+
+# a script of steps and towers.  A tower draws its start among the run
+# curves earlier towers left (when there are any) or among all tracked
+# curves, and its fixed curve among the curves meeting the start, the run
+# curves or all tracked curves; a step's first curve is a run curve or any
+# tracked curve, as in STEP otherwise.  Indices are taken modulo the
+# candidates.
+RUN_TOWER = st.tuples(
+    st.sampled_from(["run", "any"]),
+    st.integers(0, 63),
+    st.sampled_from(["meeting", "meeting", "run", "any"]),
+    st.integers(0, 63),
+    st.integers(0, 9),
+)
+RUN_STEP = st.tuples(st.sampled_from(["run", "any"]), STEP)
+MIXED_SCRIPT = st.lists(st.one_of(RUN_TOWER, RUN_STEP), min_size=1, max_size=12)
+
+# a chain over the run curves of one tower (its names but the last, as the
+# tower wrote them): in run order, reversed, a part of it, with a gap, with
+# two neighbours swapped, with an unknown name, split into two chains that
+# meet, or a walk from a run curve; indices are taken modulo the candidates.
+# Names already in the plan are dropped and empty chains left out, so the
+# refusals of repeats and empty chains stay with the tests above
+RUN_CHAIN = st.tuples(
+    st.sampled_from(
+        ["forward", "reversed", "part", "gap", "swap", "unknown", "split", "walk"]
+    ),
+    st.integers(0, 63),
+    st.integers(0, 63),
+    st.integers(0, 63),
+    st.booleans(),
+)
+
+
+def pick(pool, i):
+    return pool[i % len(pool)]
+
+
+def run_script(script):
+    """The model a mixed script makes, the same model made by steps alone,
+    and the run curves of each tower, as lists.  Each item is drawn from
+    the model so far and applied to both models; an item one of them
+    refuses must be refused by the other in the same words, and is
+    dropped."""
+    model = written = SurfaceModel.plane(PLANE, singular=SINGULAR)
+    runs = []
+    for k, item in enumerate(script):
+        tracked = list(model.tracked)
+        in_runs = [nm for run in runs for nm in run]
+        if len(item) == 2:
+            where, (free, anchor, others, mults) = item
+            first = pick(in_runs, anchor) if where == "run" and in_runs else None
+            through = {}
+            if free:
+                first = first or pick(tracked, anchor)
+                pool = list(model.meets(first)) or tracked
+                through = dict.fromkeys([first, *(pick(pool, i) for i in others)])
+            call = BlowupStep(tuple(zip(through, mults)), f"X{k}")
+            steps = [call]
+        else:
+            where, start, mode, along, count = item
+            start = pick(in_runs if where == "run" and in_runs else tracked, start)
+            pools = {"meeting": list(model.meets(start)), "run": in_runs}
+            along = pick(pools.get(mode) or tracked, along)
+            if along == start:
+                continue
+            names = [f"T{k}_{j}" for j in range(count)]
+            call = Tower(start, along, names)
+            steps, current = [], start
+            for nm in names:
+                steps.append(BlowupStep(((current, 1), (along, 1)), nm))
+                current = nm
+        try:
+            stepped = written.blow_up(*steps)
+        except (KeyError, ValueError) as exc:
+            with pytest.raises(type(exc)) as info:
+                model.blow_up(call)
+            assert str(info.value) == str(exc)
+            continue
+        model, written = model.blow_up(call), stepped
+        if isinstance(call, Tower) and len(call.names) > 1:
+            runs.append(list(call.names[:-1]))
+    return model, written, runs
+
+
+def draw_run_plan(model, runs, chains):
+    tracked = list(model.tracked)
+    plan = []
+    for kind, r, i, j, flip in chains:
+        run = pick(runs, r) if runs else tracked[:3]
+        i, j = sorted((i % len(run), j % len(run)))
+        chain = list(run)
+        if kind == "part":
+            chain = run[i : j + 1]
+        elif kind == "gap" and len(run) > 2:
+            del chain[1 + i % (len(run) - 2)]
+        elif kind == "swap" and len(run) > 1:
+            i = min(i, len(run) - 2)
+            chain[i], chain[i + 1] = chain[i + 1], chain[i]
+        elif kind == "unknown":
+            chain.insert(i, "U")
+        elif kind == "walk":
+            chain = [run[i]]
+            for _ in range(j):
+                step = [
+                    b
+                    for b, w in model.meets(chain[-1]).items()
+                    if w == 1 and model.self_int(b) <= -2 and b not in chain
+                ]
+                if not step:
+                    break
+                chain.append(step[0])
+        if flip:
+            chain.reverse()
+        used = {nm for done in plan for nm in done}
+        chain = [nm for nm in chain if nm not in used]
+        parts = [chain[:i], chain[i:]] if kind == "split" else [chain]
+        plan += [tuple(part) for part in parts if part]
+    return tuple(plan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MIXED_SCRIPT, st.lists(RUN_CHAIN, min_size=1, max_size=3))
+def test_runs_match_their_steps_written_out(script, chains):
+    # a tower's run curves are stored as one run and read back per curve or
+    # per stretch: every query must give what the same model built from
+    # steps alone gives, and contract must agree with the pairwise reference
+    # read from that model, or give the same refusal
+    model, written, runs = run_script(script)
+    assert table(model) == table(written)
+    assert ordered_meets(model) == ordered_meets(written)
+    assert model.dual_graph().to_text() == written.dual_graph().to_text()
+    chains = draw_run_plan(model, runs, chains)
+    try:
+        plan = ContractionPlan(chains)
+        want = ref_contract(written, plan.chains)
+    except (KeyError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            contract(model, ContractionPlan(chains))
+        assert str(info.value) == str(exc)
     else:
         got = contract(model, plan)
         sings = [(s.q, s.q1, w.entries) for s, w in got.singularities]
