@@ -4,6 +4,13 @@ Subcommands: ``eval``, ``expand``, ``kollar``, ``family``, ``sweep``,
 ``verify``.  All numeric output is exact; decimal approximations appear only
 behind ``--approx`` and are marked as approximate.  Exit codes: 0 success,
 1 usage error, 2 verification failure.
+
+:func:`main` dispatches on the first word of argv: a command word picks
+that command's parser from the map ``add_subparsers`` keeps, and that
+parser reads the rest of argv, which is what the top-level parser would
+hand it.  Any other argv (empty, an option, ``--``, an unknown word) goes
+through the top-level parser, so help, usage and every refusal keep one
+text and exit code.  The parsers are built once per process.
 """
 
 from __future__ import annotations
@@ -234,7 +241,8 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+def _build_parsers() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its map from command word to command parser."""
     parser = _Parser(
         prog="qhpp",
         description=(
@@ -283,18 +291,26 @@ def build_parser() -> _Parser:
     p.add_argument("suite", help=f"one of all, {', '.join(verify.SUITE_NAMES)}")
     p.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> _Parser:
-    # parse_args leaves the parser unchanged, so one instance serves every call
-    return build_parser()
+def build_parser() -> _Parser:
+    return _build_parsers()[0]
+
+
+# parse_args leaves the parsers unchanged, so one pair serves every call
+_parsers = functools.cache(_build_parsers)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        parser, commands = _parsers()
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
         return args.func(args)
     except families.BuildCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -175,7 +175,9 @@ def contract(model: SurfaceModel, plan: ContractionPlan) -> Contraction:
     ``SurfaceModel.extract_chains`` requires self-intersections ``<= -2``,
     consecutive curves meeting once and no other meetings, so up to sign
     the leading minors of a chain's Gram matrix are continuants of entries
-    ``>= 2``, which are positive.
+    ``>= 2``, which are positive.  For the same reason each singularity
+    is built by :meth:`~qhpp.hjcf.CyclicSingularity.trusted` from ``q``
+    and ``v_1`` of its chain, without checking them again.
     """
     chains = plan.chains
     extracted = model.extract_chains(chains)
@@ -187,6 +189,6 @@ def contract(model: SurfaceModel, plan: ContractionPlan) -> Contraction:
         q = u[-1]
         for nm, u_j, v_j in zip(chain, u[1:-1], v[1:-1]):
             terms[nm] = (q, q - u_j - v_j)
-        singularities.append((CyclicSingularity(q, v[1]), w))
+        singularities.append((CyclicSingularity.trusted(q, v[1]), w))
     rho = 1 + model.blowup_count - len(terms)
     return Contraction(model, tuple(singularities), rho, MappingProxyType(terms))

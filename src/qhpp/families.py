@@ -10,10 +10,11 @@ the spec (:func:`check_params`), runs the script and fails loudly if the
 scripted lattice does not reproduce the template or does not land at Picard
 rank one.  The resulting :class:`FamilyBuild` holds the plan's
 :class:`~qhpp.contraction.Contraction`, made once, from which its class and
-every ``E . f*(K)`` are read.  A member is one of three bases plus towers:
-the plane of four lines for T, or a parameter-free S1 or S3 base model
-built once per process.  Its script passes all of its parameter-dependent
-blow-ups to one :meth:`~qhpp.lattice.SurfaceModel.blow_up` call as
+every ``E . f*(K)`` are read.  A member is one of three parameter-free
+bases plus towers: the plane of four lines for T, or the S1 or S3 base
+model.  All three bases are built once per process.  A member's script
+passes all of its parameter-dependent blow-ups to one
+:meth:`~qhpp.lattice.SurfaceModel.blow_up` call as
 :class:`~qhpp.lattice.Tower` steps, each checked once and applied in closed
 form; a tower with no names blows up nothing.
 
@@ -156,8 +157,15 @@ def _tower(
     return Tower(start, along, names), chain[:-1], chain[-1]
 
 
+@cache
+def _t_base() -> SurfaceModel:
+    """The plane of four general lines that every T script starts from,
+    built once."""
+    return SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1})
+
+
 def _script_t(a1: int, a2: int, a3: int, a4: int):
-    """The script of :func:`build_T`."""
+    """The script of :func:`build_T`, from :func:`_t_base`."""
     a = (a1, a2, a3, a4)
     prev = {1: "L4", 2: "L1", 3: "L2", 4: "L3"}
     towers = []
@@ -166,7 +174,7 @@ def _script_t(a1: int, a2: int, a3: int, a4: int):
         names = [f"D{k}"] + [f"E{k}_{j}" for j in range(a[k - 1] - 2)] + [f"E{k}"]
         towers.append(Tower(prev[k], f"L{k}", names))
         run[k] = names[:-1]
-    model = SurfaceModel.plane({"L1": 1, "L2": 1, "L3": 1, "L4": 1}).blow_up(*towers)
+    model = _t_base().blow_up(*towers)
     upper = tuple(reversed(run[4])) + ("L3", "L1") + tuple(run[2])
     lower = tuple(reversed(run[3])) + ("L2", "L4") + tuple(run[1])
     expected = make_pattern(a4, a3, a1, a2), make_pattern(a3, a2, a4, a1)

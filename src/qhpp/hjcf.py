@@ -17,7 +17,9 @@ builds the whole sequences, for ``partial_orders``,
 
 The chains that ``expand``, ``reverse`` and ``make_pattern`` return are
 not checked again entry by entry: their entries are ints >= 2 by
-construction.
+construction, so they are built by :meth:`HJFraction.trusted`, the one
+unchecked route to a chain.  :meth:`CyclicSingularity.trusted` is the
+same route to a singularity whose ``(q, q1)`` come from a chain.
 
 Everything here is exact: python integers and ``fractions.Fraction``, no
 floating point.
@@ -86,14 +88,19 @@ class HJFraction:
     def __str__(self) -> str:
         return str(list(self.entries))
 
+    @classmethod
+    def trusted(cls, entries: tuple[int, ...]) -> "HJFraction":
+        """The chain of ``entries`` without the constructor's checks, for a
+        caller that has made them: ``entries`` must be a tuple of ints >= 2.
 
-def _trusted(entries: tuple[int, ...]) -> HJFraction:
-    # an HJFraction whose entries are known to be ints >= 2: expand writes
-    # only such entries, reverse reads them from a checked chain, and
-    # make_pattern checks its arguments first
-    w = object.__new__(HJFraction)
-    object.__setattr__(w, "entries", entries)
-    return w
+        ``expand`` writes only such entries, ``reverse`` reads them from a
+        checked chain, ``make_pattern`` checks its arguments first, and
+        :meth:`~qhpp.lattice.SurfaceModel.extract_chains` refuses every
+        curve with self-intersection above -2 before it builds a chain.
+        """
+        w = object.__new__(cls)
+        object.__setattr__(w, "entries", entries)
+        return w
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,7 @@ def expand(q: int, q1: int) -> HJFraction:
             n = -(-q // q1)
             entries.append(n)
             q, q1 = q1, n * q1 - q
-    return _trusted(tuple(entries))
+    return HJFraction.trusted(tuple(entries))
 
 
 def expansion_length(q: int, q1: int) -> int:
@@ -233,7 +240,7 @@ def bump_determinant(w: HJFraction, j: int) -> int:
 def make_pattern(a: int, b: int, c: int, d: int) -> HJFraction:
     """The chain ``[2 x (a-1), b, c, 2 x (d-1)]``; a = d = 1 gives [b, c]."""
     a, b, c, d = _pattern_args(a, b, c, d)
-    return _trusted((2,) * (a - 1) + (b, c) + (2,) * (d - 1))
+    return HJFraction.trusted((2,) * (a - 1) + (b, c) + (2,) * (d - 1))
 
 
 def pattern_determinant(a: int, b: int, c: int, d: int) -> int:
@@ -254,7 +261,7 @@ def _pattern_args(*args: int) -> tuple[int, int, int, int]:
 
 def reverse(w: HJFraction) -> HJFraction:
     """The chain read from the other end; the determinant is unchanged."""
-    return _trusted(w.entries[::-1])
+    return HJFraction.trusted(w.entries[::-1])
 
 
 def discrepancy_coefficients(w: HJFraction) -> tuple[Fraction, ...]:
@@ -283,6 +290,19 @@ class CyclicSingularity:
 
     def __str__(self) -> str:
         return f"1/{self.q}(1,{self.q1})"
+
+    @classmethod
+    def trusted(cls, q: int, q1: int) -> "CyclicSingularity":
+        """``1/q(1, q1)`` without the constructor's checks, for a caller
+        that reads ``q = |w|`` and ``q1 = |[n2, ..., nl]|`` off a nonempty
+        chain ``w`` of entries >= 2: then ``q >= 2`` and ``1 <= q1 < q``, and
+        ``q`` and ``q1`` are coprime by the continuant identity ``q
+        |[n2, ..., n_{l-1}]| - q1 |[n1, ..., n_{l-1}]| = -1``.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "q", q)
+        object.__setattr__(s, "q1", q1)
+        return s
 
     @classmethod
     def from_chain(cls, w: HJFraction) -> "CyclicSingularity":

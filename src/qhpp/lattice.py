@@ -48,13 +48,14 @@ Intersection numbers are table lookups; ``self_int``, ``k_dot`` and
 it.  ``meets`` is a read-only view of a row, not a copy.  Extracting the
 chains of a plan walks each chain once against one set of the listed
 names, a row per curve and a stretch of a run per unit, checking every
-chain's shape and that no two chains meet; only a chain that fails that
-walk is walked again, row by row with each listed name's (chain,
-position), to name what it refuses.  ``tracked`` gives the names;
-``curve(name)`` rebuilds a dense :class:`CurveClass` from the curve's
-sparse multiplicities.  Exceptional curves are smooth rational, so a model
-stores only the few curves exempt from the genus check ``C.C + C.K = -2``:
-plane curves listed as singular and not yet declared smooth.
+chain's shape and that no two chains meet; that walk refuses every entry
+below 2, so it builds its chains by :meth:`~qhpp.hjcf.HJFraction.trusted`.
+Only a chain that fails that walk is walked again, row by row with each
+listed name's (chain, position), to name what it refuses.  ``tracked``
+gives the names; ``curve(name)`` rebuilds a dense :class:`CurveClass` from
+the curve's sparse multiplicities.  Exceptional curves are smooth rational,
+so a model stores only the few curves exempt from the genus check ``C.C +
+C.K = -2``: plane curves listed as singular and not yet declared smooth.
 """
 
 from __future__ import annotations
@@ -291,10 +292,12 @@ class _Run:
     step first writes the curve out (:func:`_write_out`), which gives it
     its own row and splits the run around it, so that every name of a run
     in a table maps to that run.  ``degree``, ``self_int`` and ``k_dot``
-    are the same for every run curve; ``meets`` depends on the position, so
-    a run has none.  ``index`` maps each name to its position; it is built
-    the first time a row is written out, so that writing out every row of
-    a run (as :meth:`SurfaceModel.dual_graph` does) stays linear.
+    are the same for every run curve, and these class attributes are their
+    one definition: a written-out row and an extracted chain read them.
+    ``meets`` depends on the position, so a run has none.  ``index`` maps
+    each name to its position; it is built the first time a row is written
+    out, so that writing out every row of a run (as
+    :meth:`SurfaceModel.dual_graph` does) stays linear.
     """
 
     __slots__ = ("names", "before", "after", "n", "index")
@@ -325,7 +328,13 @@ class _Run:
         j = self.index[name]
         i = self.n + j
         mults = (i + 1, i + 2, 1, (i, i + 1, -1, None))
-        return _Row(0, mults, -2, 0, {self.at(j - 1): 1, self.at(j + 1): 1})
+        return _Row(
+            self.degree,
+            mults,
+            self.self_int,
+            self.k_dot,
+            {self.at(j - 1): 1, self.at(j + 1): 1},
+        )
 
 
 def _write_out(rows: dict[str, _Row | _Run], name: str) -> _Row:
@@ -606,7 +615,8 @@ class SurfaceModel:
             if counted is not None:
                 entries, hits, ones = counted
                 if hits == 2 * ones == 2 * len(names) - 2:
-                    out.append(HJFraction(entries))
+                    # the walk refused every entry below 2
+                    out.append(HJFraction.trusted(tuple(entries)))
                     continue
             # the chain is refused or meets another: walk it curve by curve
             rows = [self._row(nm) for nm in names]
@@ -653,14 +663,16 @@ def _count_runs(
     chain ``names``, with each stretch of a run counted as one unit:
     ``(entries, hits, ones)``, where ``hits`` counts the meetings of the
     chain's curves with listed curves and ``ones`` its consecutive pairs
-    that meet once.  ``None`` when a name is untracked, a curve has
-    self-intersection > -2 or a stretch of a run breaks off inside the
-    chain: those chains are refused, and the full walk names why.
+    that meet once.  ``None`` when a name is untracked, a curve (a run
+    curve included) has self-intersection > -2 or a stretch of a run
+    breaks off inside the chain: those chains are refused, and the full
+    walk names why.  A run curve's entry is read from the run, as a row's
+    is from the row.
 
     A run curve followed in the chain by its next (previous) curve in the
     run starts a stretch that must run on to the end of the chain or of
     the run, because a run curve meets only its two neighbours.  Such a
-    stretch of ``m`` curves adds ``m`` entries 2, ``m - 1`` inner pairs
+    stretch of ``m`` curves adds ``m`` entries, ``m - 1`` inner pairs
     meeting once and seen from both sides, and its two outer neighbours in
     the run; a run curve on its own adds its two neighbours.
     """
@@ -673,10 +685,10 @@ def _count_runs(
         row = table.get(nm)
         if row is None:
             return None
+        s = row.self_int
+        if s > -2:
+            return None
         if type(row) is not _Run:
-            s = row.self_int
-            if s > -2:
-                return None
             entries.append(-s)
             meets = row.meets
             hits += sum(map(listed.__contains__, meets))
@@ -698,12 +710,12 @@ def _count_runs(
             lo, hi = row.at(p + 1), row.at(p - m)
         else:
             lo, hi = row.at(p - 1), row.at(p + 1)
-            entries.append(2)
+            entries.append(-s)
             hits += (lo in listed) + (hi in listed)
             g += 1
             ones += after in (lo, hi)
             continue
-        entries += [2] * m
+        entries += [-s] * m
         hits += 2 * m - 2 + (lo in listed) + (hi in listed)
         g += m
         ones += m - 1 + (g < end and names[g] == hi)

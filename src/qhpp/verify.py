@@ -43,10 +43,18 @@ class Check:
 
 
 def _scan(name: str, cases: Iterable, predicate: Callable) -> Check:
+    """Run ``predicate`` on each case; the first case it rejects or raises
+    on fails the check, so a crashing check is a failed one, not a usage
+    error, and the checks after it still run."""
     count = 0
     for case in cases:
         count += 1
-        if not predicate(case):
+        try:
+            ok = predicate(case)
+        except Exception as exc:
+            raised = f"raised {type(exc).__name__}: {exc}"
+            return Check(name, False, f"first counterexample: {case!r} ({raised})")
+        if not ok:
             return Check(name, False, f"first counterexample: {case!r}")
     return Check(name, True, f"{count} cases")
 

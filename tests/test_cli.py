@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -6,8 +7,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qhpp import cli, families, verify
 from qhpp.cli import main
@@ -351,6 +354,41 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert "FAIL kollar.fake" in out
 
 
+def test_a_crashing_check_is_a_failed_check(capsys, monkeypatch):
+    # a check that raises fails with the exception named, the checks after
+    # it still run, and verify exits 2, not with the usage code
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(verify, "pattern_determinant", boom)
+    assert run(capsys, "verify", "kollar") == (
+        2,
+        "PASS kollar.s_identities (625 cases)\n"
+        "FAIL kollar.congruences (first counterexample: "
+        "KollarParams(a1=2, a2=2, a3=2, a4=3) (raised ValueError: boom))\n"
+        "PASS kollar.chain_types (544 cases)\n"
+        "PASS kollar.primitive_count (544 of 625 tuples in [2,6]^4 have w* = 1)\n"
+        "1 of 4 checks failed\n",
+        "",
+    )
+    # any exception is a failed check, not a traceback
+    monkeypatch.setattr(verify, "pattern_determinant", lambda *args: 1 // 0)
+    code, out, err = run(capsys, "verify", "kollar")
+    assert (code, err) == (2, "")
+    assert "(raised ZeroDivisionError: integer division or modulo by zero))\n" in out
+    assert "PASS kollar.chain_types" in out
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+def test_verify_lets_an_interrupt_through(monkeypatch, stop):
+    def interrupted(*args):
+        raise stop
+
+    monkeypatch.setattr(verify, "pattern_determinant", interrupted)
+    with pytest.raises(stop):
+        main(["verify", "kollar"])
+
+
 def test_failed_build_check_exits_two(capsys, monkeypatch):
     spec = families.FAMILIES["S3"]
 
@@ -451,3 +489,112 @@ def test_main_repeated_in_one_process_matches_separate_runs(capsys):
             argv,
         )
     assert in_process[1][0] == 1 and in_process[1][2].startswith("error: ")
+
+
+# --- dispatch on the command word --------------------------------------------
+
+# a path whose directory does not exist: --graph and --output fail on it
+# before anything is written.  It is always joined to its option, so that
+# no stray token can take its place as the path.
+MISSING = os.path.join(os.path.dirname(__file__), "no-such-dir", "out")
+NUMBER = st.integers(2, 6).map(str)
+SPAN = st.sampled_from(["2", "3", "2..3", "3..4", "2..4", "4..3", "2..x"])
+
+
+def positionals(values, n, first=()):
+    """``first`` and then mostly ``n`` values, now and then one fewer or
+    one more."""
+    sizes = st.sampled_from([n - 1, n, n, n, n + 1])
+    return sizes.flatmap(lambda k: st.lists(values, min_size=k, max_size=k)).map(
+        lambda vs: [*first, *vs]
+    )
+
+
+def members(values):
+    """A family id (or an unknown one) and about as many parameters as
+    the family takes."""
+
+    def params(family):
+        spec = families.FAMILIES.get(family)
+        return positionals(values, len(spec.names) if spec else 1, [family])
+
+    return st.sampled_from([*families.FAMILIES, "nope"]).flatmap(params)
+
+
+# per command: its positionals, and the options it knows with their
+# values, spelt out, abbreviated and with wrong values
+GRAMMAR = {
+    "eval": (positionals(NUMBER, 3), []),
+    "expand": (positionals(st.sampled_from(["5", "7", "3", "2"]), 2), []),
+    "kollar": (positionals(NUMBER, 4), []),
+    "family": (
+        members(NUMBER),
+        [["--json"], ["--js"], ["--approx"], ["--a"], [f"--graph={MISSING}"]]
+        + [[f"--gr={MISSING}"]],
+    ),
+    "sweep": (
+        members(SPAN),
+        [["--format", "json"], ["--format=markdown"], ["--fo", "csv"], ["--fo=xml"]]
+        + [["--approx"], ["--format"], [f"-o{MISSING}"], [f"--output={MISSING}"]],
+    ),
+    "verify": (positionals(st.sampled_from(["nope", "Kollar", ""]), 1), []),
+}
+# help, the separator, unknown options, words that are not commands and
+# parameters that are not integers or out of range
+STRAY = ["-h", "--help", "--", "--bogus", "-x", "nope", "fam", "", "x", "2.5", "-1"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of the CLI grammar: a command word, its positionals with
+    options before and after them and now and then a stray token anywhere;
+    or, a quarter of the time, stray tokens and command words in any
+    order, the empty argv among them."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(st.sampled_from([*STRAY, *GRAMMAR]), max_size=4))
+    word = draw(st.sampled_from(list(GRAMMAR)))
+    words, known = GRAMMAR[word]
+    options = st.lists(st.sampled_from(known), max_size=2) if known else st.just([])
+    before, after = draw(options), draw(options)
+    argv = [word, *sum(before, []), *draw(words), *sum(after, [])]
+    if draw(st.integers(0, 2)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY)))
+    return argv
+
+
+def outcome(argv):
+    """stdout, stderr and the return value or SystemExit code of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = main(argv)
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def reference_outcome(argv):
+    """main with every argv read by the top-level parser: no command
+    parser is picked by its word, so main runs
+    ``build_parser().parse_args(argv)`` and then ``args.func(args)``."""
+    with mock.patch.object(cli, "_parsers", lambda: (cli.build_parser(), {})):
+        return outcome(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+@example([])
+@example(["-h"])
+@example(["--"])
+@example(["--", "family", "S3", "6"])
+@example(["family", "--", "S3", "6"])
+@example(["family", "S3", "--", "6"])
+@example(["family", "-h"])
+@example(["family", "S3", "6", "--js"])
+@example(["family", "S3", "x"])
+@example(["family", "S3", "6", "--bogus"])
+@example(["sweep", "S3", "2..4", "--format", "markdown", "--approx"])
+@example(["eval", "3", "2", "2"])
+@example(["nope"])
+def test_dispatch_on_the_command_word_matches_the_top_level_parser(argv):
+    assert outcome(argv) == reference_outcome(argv)

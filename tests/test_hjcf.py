@@ -404,6 +404,27 @@ def test_singularity_chain_roundtrip(pair):
     assert sing.q1 * sing.q1_inverse() % q == 1
 
 
+def test_trusted_routes_skip_only_the_checks():
+    # the unchecked routes build what the checked constructors build ...
+    assert HJFraction.trusted((3, 2, 2)) == HJFraction((3, 2, 2))
+    assert CyclicSingularity.trusted(7, 3) == CyclicSingularity(7, 3)
+    # ... and check nothing, which is why callers must have checked
+    assert HJFraction.trusted((1,)).entries == (1,)
+    assert CyclicSingularity.trusted(4, 2).q1 == 2
+    with pytest.raises(ValueError):
+        HJFraction((1,))
+    with pytest.raises(ValueError):
+        CyclicSingularity(4, 2)
+
+
+@given(chains)
+def test_order_and_v1_of_a_chain_pass_the_singularity_checks(w):
+    # contract builds CyclicSingularity.trusted(q, v[1]): the checked
+    # constructor accepts that pair for every nonempty chain
+    u, v = order_sequences(w)
+    assert CyclicSingularity(u[-1], v[1]) == CyclicSingularity.from_chain(w)
+
+
 def test_from_chain_refuses_the_empty_chain():
     with pytest.raises(ValueError, match=r"^the empty chain has no rational value$"):
         CyclicSingularity.from_chain(HJFraction(()))

@@ -1,5 +1,6 @@
 import pytest
 
+from qhpp import lattice
 from qhpp.families import build
 from qhpp.lattice import (
     BlowupStep,
@@ -172,6 +173,26 @@ def test_tower_steps_equal_checked_steps():
     # names become str, as in the public constructor
     assert Tower("A", "L", [7]) == Tower("A", "L", ("7",))
     assert plane.blow_up(Tower("A", "L", [7])).curve("7") == CurveClass(0, (-1,))
+
+
+@pytest.mark.parametrize("self_int", [-3, -1])
+def test_a_run_curve_has_one_self_intersection(monkeypatch, self_int):
+    # the run's class attribute is the one definition of a run curve's
+    # C.C: every chain through run curves and the dual graph read it
+    model = SurfaceModel.plane({"A": 1, "L": 1}).blow_up(
+        Tower("A", "L", ["B", "C", "D", "E"])
+    )
+    monkeypatch.setattr(lattice._Run, "self_int", self_int)
+    chains = (["B", "C", "D"], ["D", "C", "B"], ["C"], ["B"], ["D", "C"])
+    for names in chains:
+        vertices = model.dual_graph(names).vertices
+        assert vertices == tuple((nm, self_int) for nm in names)
+        if self_int < -1:
+            entries = model.extract_chain(names).entries
+            assert entries == tuple(-s for _, s in vertices)
+        else:
+            with pytest.raises(ChainShapeError, match=r"self-intersection -1 > -2"):
+                model.extract_chain(names)
 
 
 def test_tower_refuses_one_str_of_names():
